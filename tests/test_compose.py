@@ -1,6 +1,7 @@
 """Strict and lenient composition, and grid pasting."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from moorecubes import (
     make_cube,
     multi_compose,
 )
+from moorecubes.expr import cube_from_exprs
 from moorecubes.generators import gen_composable_pair, gen_cube, quadrants, subdivide
 
 oracle = EqualityOracle()
@@ -163,6 +165,77 @@ class TestMultiCompose:
         (a, b), (d_low, d_high) = quadrants(c, 0.75, 1.5)
         grid = [[a, d_low], [b, d_high]]
         assert oracle.equals_strict(multi_compose(grid), c)
+
+
+class TestMultiComposeFolds:
+    """Fold order, grid containers and failure text of multi_compose."""
+
+    @staticmethod
+    def octants(c, cuts):
+        """Cut a 3-cube at cuts[j - 1] in each direction j; grid[i3][i2][i1]."""
+        grid = [[[None, None], [None, None]], [[None, None], [None, None]]]
+        pieces = {(): c}
+        for j, cut in enumerate(cuts, start=1):
+            pieces = {
+                idx + (side,): part
+                for idx, cube in pieces.items()
+                for side, part in enumerate(subdivide(cube, j, cut))
+            }
+        for (i1, i2, i3), piece in pieces.items():
+            grid[i3][i2][i1] = piece
+        return grid
+
+    def test_six_fold_orders_of_a_2x2x2_grid_agree_strictly(self):
+        c = cube_from_exprs(3, (2.0, 3.0, 1.0), Euclidean(1), ["t1*t2 - t3^2 + 2*t1"])
+        grid = self.octants(c, (0.5, 1.5, 0.25))
+        folds = [multi_compose(grid, oracle, order) for order in itertools.permutations((1, 2, 3))]
+        assert len(folds) == 6
+        for folded in folds:
+            assert folded.shape.extents == (2.0, 3.0, 1.0)
+            assert oracle.equals_strict(folded, folds[0])
+            assert oracle.equals_strict(folded, c)
+
+    def test_tuple_grid_folds_like_a_list_grid(self):
+        rows = [
+            [const2(1.0, 1.0, 2.0), const2(2.0, 1.0, 2.0)],
+            [const2(1.0, 3.0, 2.0), const2(2.0, 3.0, 2.0)],
+        ]
+        as_lists = multi_compose(rows)
+        as_tuples = multi_compose(tuple(tuple(row) for row in rows))
+        assert as_tuples.shape.extents == (3.0, 4.0)
+        assert oracle.equals_strict(as_tuples, as_lists)
+
+    def test_failure_names_the_grid_cell_exactly(self):
+        grid = [
+            [const2(1.0, 1.0), const2(2.0, 1.0)],
+            [const2(1.0, 3.0), const2(2.0, 2.5)],
+        ]
+        with pytest.raises(CompositionUndefined) as exc:
+            multi_compose(grid, fold_order=(1, 2))
+        assert str(exc.value) == (
+            "grid cell (1, 1) along direction 1: faces in direction 1 differ "
+            "(shape): shapes (3.0,) vs (2.5,)"
+        )
+
+    def test_failure_cell_in_a_3d_grid_follows_the_fold_order(self):
+        c = cube_from_exprs(3, (2.0, 3.0, 1.0), Euclidean(1), ["t1*t2 - t3^2 + 2*t1"])
+        grid = self.octants(c, (0.5, 1.5, 0.25))
+        grid[1][1][1] = make_cube(3, (1.5, 1.5, 0.7), Euclidean(1), lambda ts: (0.0,))
+        shape_text = "(shape): shapes (1.5, 0.75) vs (1.5, 0.7)"
+        expected = {
+            (1, 2, 3): f"grid cell (1, 1, 1) along direction 1: faces in direction 1 differ {shape_text}",
+            (2, 3, 1): f"grid cell (1, 1, 1) along direction 2: faces in direction 2 differ {shape_text}",
+            (3, 2, 1): "grid cell (1, 1, 1) along direction 3: faces in direction 3 differ (action)",
+        }
+        for order, text in expected.items():
+            with pytest.raises(CompositionUndefined) as exc:
+                multi_compose(grid, oracle, order)
+            assert str(exc.value).startswith(text)
+        # After direction 1 is folded away a failure names a 2-d cell.
+        grid = [[const2(1.0, 1.0), const2(1.0, 1.0)], [const2(1.0, 1.0), const2(2.0, 1.0)]]
+        with pytest.raises(CompositionUndefined) as exc:
+            multi_compose(grid, oracle, (1, 2))
+        assert str(exc.value).startswith("grid cell (1,) along direction 2: ")
 
 
 class TestSubdivide:

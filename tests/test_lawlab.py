@@ -1,6 +1,8 @@
 """The law lab: registry, classification, determinism, and witnesses."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from moorecubes import EqualityOracle, UnknownLaw
@@ -13,6 +15,7 @@ from moorecubes.lawlab import (
     reevaluate_witness,
     run_suite,
 )
+from moorecubes.cli import _report_json, format_table
 
 oracle = EqualityOracle()
 FAST = dict(n_instances=6, seed=42, oracle=oracle)
@@ -173,3 +176,18 @@ class TestSuite:
         row = data["laws"]["3.1.i"]
         assert row["classification"] == "HOLDS_STRICT"
         assert row["instances_run"] == 2
+
+
+# sha256 of the seed-42 table and report JSON over all 30 laws at 5
+# instances. Any change to a law's order, verdict, counts, witness or note
+# changes these bytes.
+TABLE_SHA256 = "a2cf433e2c06b584f8833fd74afd5ddd7e0722721f1fbe3dfcfa0beb5ac27415"
+REPORT_SHA256 = "226f5ce29c3dbf32e602b2bad6e54496f5688a23766ef23232102cac00fc61f5"
+
+
+class TestPinnedOutput:
+    def test_seed_42_table_and_report_bytes_are_pinned(self):
+        report = run_suite(n_instances=5, seed=42, oracle=oracle)
+        table = hashlib.sha256(format_table(report).encode("utf-8")).hexdigest()
+        data = hashlib.sha256(_report_json(report).encode("utf-8")).hexdigest()
+        assert (table, data) == (TABLE_SHA256, REPORT_SHA256)
