@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -191,6 +192,20 @@ def _grid_size(text: str) -> int:
     return value
 
 
+def _instance_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("instances must be at least 1")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("tol must be finite and >= 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moorecubes",
@@ -237,11 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-laws", help="run the law suite and print the table")
     p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--instances", type=int, default=100)
+    p_check.add_argument("--instances", type=_instance_count, default=100)
     p_check.add_argument(
         "--grid", type=_grid_size, default=5, help="oracle samples per axis (default 5)"
     )
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--tol", type=_tolerance, default=1e-9)
     p_check.add_argument(
         "--laws",
         help=f"comma-separated law ids (default: all; known: {', '.join(LAW_IDS)})",
@@ -294,3 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

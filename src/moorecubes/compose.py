@@ -9,9 +9,8 @@ other extent to the pairwise max, which lets degenerate pieces widen.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
-
-import numpy as np
 
 from .core import ComposeNode, EqualityOracle, MooreCube, Shape
 from .errors import BadIndex, CompositionUndefined, DimensionMismatch
@@ -85,6 +84,24 @@ def compose_lenient(
     return _glue(a, b, j, extents, lenient=True)
 
 
+_NOT_CUBES = "grid entries must be cubes (is the grid ragged?)"
+
+
+def _index_grid(grid) -> tuple[tuple[int, ...], dict[tuple[int, ...], object]]:
+    """Sizes per nesting level and a {index: entry} dict of a nested grid.
+
+    Lists and tuples are nesting levels; anything else is an entry.
+    """
+    if not isinstance(grid, (list, tuple)):
+        return (), {(): grid}
+    rows = [_index_grid(row) for row in grid]
+    sizes = rows[0][0] if rows else ()
+    if any(row_sizes != sizes for row_sizes, _ in rows):
+        raise DimensionMismatch(_NOT_CUBES)
+    cells = {(k,) + idx: c for k, (_, row) in enumerate(rows) for idx, c in row.items()}
+    return (len(grid),) + sizes, cells
+
+
 def multi_compose(
     grid, oracle: EqualityOracle | None = None, fold_order: Sequence[int] | None = None
 ) -> MooreCube:
@@ -100,22 +117,18 @@ def multi_compose(
     oracle = oracle or _DEFAULT_ORACLE
     if isinstance(grid, MooreCube):
         return grid
-    try:
-        arr = np.array(grid, dtype=object)
-    except ValueError as exc:
-        raise DimensionMismatch(f"ragged grid: {exc}") from None
-    cubes = arr.reshape(-1)
-    if cubes.size == 0:
+    sizes, cells = _index_grid(grid)
+    cubes = list(cells.values())
+    if not cubes:
         raise DimensionMismatch("empty grid")
     if not all(isinstance(c, MooreCube) for c in cubes):
-        raise DimensionMismatch("grid entries must be cubes (is the grid ragged?)")
+        raise DimensionMismatch(_NOT_CUBES)
     n = cubes[0].dim
-    for c in cubes:
-        if c.dim != n:
-            raise DimensionMismatch("grid entries must be cubes of equal dimension")
-    if arr.ndim != n:
+    if any(c.dim != n for c in cubes):
+        raise DimensionMismatch("grid entries must be cubes of equal dimension")
+    if len(sizes) != n:
         raise DimensionMismatch(
-            f"grid nesting depth {arr.ndim} does not match cube dimension {n}"
+            f"grid nesting depth {len(sizes)} does not match cube dimension {n}"
         )
 
     axis_dirs = list(range(n, 0, -1))  # axis k carries direction n - k
@@ -125,26 +138,22 @@ def multi_compose(
 
     for d in order:
         axis = axis_dirs.index(d)
-        moved = np.moveaxis(arr, axis, 0)
-        cell_shape = moved.shape[1:]
-        stack = moved.reshape(moved.shape[0], -1)
-        out = np.empty(stack.shape[1], dtype=object)
-        for pos in range(stack.shape[1]):
-            acc = stack[0, pos]
-            for idx in range(1, stack.shape[0]):
+        rest = sizes[:axis] + sizes[axis + 1 :]
+        folded = {}
+        for cell in itertools.product(*map(range, rest)):
+            acc = cells[cell[:axis] + (0,) + cell[axis:]]
+            for idx in range(1, sizes[axis]):
+                coord = cell[:axis] + (idx,) + cell[axis:]
                 try:
-                    acc = compose_strict(acc, stack[idx, pos], d, oracle)
+                    acc = compose_strict(acc, cells[coord], d, oracle)
                 except CompositionUndefined as exc:
-                    cell = np.unravel_index(pos, cell_shape) if cell_shape else ()
-                    coord = cell[:axis] + (idx,) + cell[axis:]
                     raise CompositionUndefined(
                         exc.reason,
                         exc.direction,
-                        f"grid cell {tuple(int(c) for c in coord)} along "
-                        f"direction {d}: {exc}",
+                        f"grid cell {coord} along direction {d}: {exc}",
                         witness=exc.witness,
                     ) from None
-            out[pos] = acc
-        arr = out.reshape(cell_shape)
+            folded[cell] = acc
+        sizes, cells = rest, folded
         axis_dirs.remove(d)
-    return arr.reshape(-1)[0]
+    return cells[()]

@@ -33,10 +33,6 @@ class Shape:
                 raise InvalidShape(f"extent {r!r} is not a finite non-negative number")
         object.__setattr__(self, "extents", exts)
 
-    @classmethod
-    def of(cls, *extents: float) -> "Shape":
-        return cls(tuple(extents))
-
     def __len__(self) -> int:
         return len(self.extents)
 
@@ -99,10 +95,6 @@ class Point:
     """A point of a target space, stored as flat coordinates."""
 
     coords: tuple[float, ...]
-
-    @classmethod
-    def of(cls, *coords: float) -> "Point":
-        return cls(tuple(float(c) for c in coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -322,6 +314,10 @@ class EqualityOracle:
     def __post_init__(self):
         if self.samples_per_axis < 2:
             raise ValueError("samples_per_axis must be >= 2")
+        for name in ("tol_val", "tol_shape"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
     def axis_samples(self, extent: float) -> list[float]:
         s = self.samples_per_axis

@@ -58,7 +58,7 @@ def space_from_json(data: Any) -> Space:
     kind = data["kind"]
     if kind == "euclidean":
         dim = data.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise CubeFileError(f"bad euclidean dimension: {dim!r}")
         return Euclidean(dim)
     if kind == "product":
@@ -179,23 +179,27 @@ def _int_field(data: dict, key: str, kind: str) -> int:
     return value
 
 
+def _shape_field(data: dict, kind: str, dim: int) -> Shape:
+    raw = _require(data, "shape", kind)
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise CubeFileError(f"shape must be a list of {dim} extents, got {raw!r}")
+    try:
+        return Shape(tuple(float(r) for r in raw))
+    except (TypeError, ValueError) as exc:
+        raise CubeFileError(f"bad shape {raw!r}: {exc}") from None
+
+
 def _primitive_from_json(data: dict) -> MooreCube:
     dim = _int_field(data, "dim", "primitive")
-    shape_raw = _require(data, "shape", "primitive")
+    shape = _shape_field(data, "primitive", dim)
     exprs = _require(data, "expr", "primitive")
     target = space_from_json(_require(data, "target", "primitive"))
-    if not isinstance(shape_raw, list) or len(shape_raw) != dim:
-        raise CubeFileError(f"shape must be a list of {dim} extents, got {shape_raw!r}")
     if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
         raise CubeFileError("expr must be a list of expression strings")
     if len(exprs) != target.total_dim:
         raise CubeFileError(
             f"{len(exprs)} expression(s) for a target of dimension {target.total_dim}"
         )
-    try:
-        shape = Shape(tuple(float(r) for r in shape_raw))
-    except (TypeError, ValueError) as exc:
-        raise CubeFileError(f"bad shape {shape_raw!r}: {exc}") from None
     return cube_from_exprs(dim, shape, target, exprs)
 
 
@@ -233,10 +237,11 @@ def cube_from_dict(data: Any) -> MooreCube:
     declared_dim = _int_field(data, "dim", "cube file")
     if declared_dim != cube.dim:
         raise CubeFileError(f"declared dim {declared_dim} but reconstructed {cube.dim}")
-    declared_shape = _require(data, "shape", "cube file")
-    actual = list(cube.shape.extents)
-    if [float(r) for r in declared_shape] != actual:
-        raise CubeFileError(f"declared shape {declared_shape} but reconstructed {actual}")
+    declared_shape = _shape_field(data, "cube file", declared_dim)
+    if declared_shape != cube.shape:
+        raise CubeFileError(
+            f"declared shape {list(declared_shape)} but reconstructed {list(cube.shape)}"
+        )
     declared_target = space_from_json(_require(data, "target", "cube file"))
     if declared_target != cube.space:
         raise CubeFileError(

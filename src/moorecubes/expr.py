@@ -40,6 +40,9 @@ FUNCTIONS: dict[str, tuple[int, Callable]] = {
     "max": (2, max),
 }
 
+# What math functions raise on overflow (exp) or outside their domain (sin(inf)).
+_MATH_FAULTS = (OverflowError, ValueError)
+
 _ATOM_EXPECTED = ("number", "variable", "function", "'('", "'-'")
 
 
@@ -298,6 +301,8 @@ def _pow(base: float, exponent: float, start: int, end: int) -> float:
         result = base ** exponent
     except ZeroDivisionError:
         raise EvalError("zero raised to a negative power", (start, end)) from None
+    except OverflowError:
+        raise EvalError(f"{base!r}^{exponent!r} overflows", (start, end)) from None
     if isinstance(result, complex):
         raise EvalError(
             "fractional power of a negative base", (start, end)
@@ -339,8 +344,12 @@ def eval_expr(expr: Expr, env: Sequence[float] | Mapping[str, float]) -> float:
         if expr.op == "/":
             return _div(left, right, *expr.span)
         return _pow(left, right, *expr.span)
-    fn = FUNCTIONS[expr.fn][1]
-    return fn(*(eval_expr(a, env) for a in expr.args))
+    args = [eval_expr(a, env) for a in expr.args]
+    try:
+        return FUNCTIONS[expr.fn][1](*args)
+    except _MATH_FAULTS:
+        shown = ", ".join(repr(a) for a in args)
+        raise EvalError(f"{expr.fn}({shown}) has no finite value", expr.span) from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +396,15 @@ def compile_expr(expr: Expr, n_vars: int) -> Callable[[Sequence[float]], float]:
     """Compile to a plain Python callable equivalent to eval_expr.
 
     Division and power faults raise the same EvalError (with spans) as the
-    interpreter; variables beyond n_vars are rejected here, at compile time.
+    interpreter; a function call that overflows or leaves its domain
+    re-runs the interpreter, which names the failing call.  Variables
+    beyond n_vars are rejected here, at compile time.
     """
 
+    calls = False
+
     def emit(e: Expr) -> str:
+        nonlocal calls
         if isinstance(e, Num):
             return repr(e.value)
         if isinstance(e, Var):
@@ -405,14 +419,23 @@ def compile_expr(expr: Expr, n_vars: int) -> Callable[[Sequence[float]], float]:
                 return f"({left}{e.op}{right})"
             helper = "_div" if e.op == "/" else "_pow"
             return f"{helper}({left},{right},{e.span[0]},{e.span[1]})"
+        calls = True
         args = ",".join(emit(a) for a in e.args)
         return f"_f_{e.fn}({args})"
 
     namespace: dict[str, object] = {"_div": _div, "_pow": _pow, "__builtins__": {}}
     for name, (_, fn) in FUNCTIONS.items():
         namespace[f"_f_{name}"] = fn
-    source = f"lambda t: {emit(expr)}"
-    return eval(compile(source, "<moore-expr>", "eval"), namespace)
+    body = emit(expr)
+    if not calls:
+        return eval(compile(f"lambda t: {body}", "<moore-expr>", "eval"), namespace)
+    # A def with try compiles about 40% slower than a lambda, so only
+    # expressions with function calls, which alone can raise a bare math
+    # error, pay for it.
+    namespace.update(_faults=_MATH_FAULTS, _interpret=lambda t: eval_expr(expr, t))
+    source = f"def compiled(t):\n try:\n  return {body}\n except _faults:\n  return _interpret(t)"
+    exec(compile(source, "<moore-expr>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 def cube_from_exprs(

@@ -1,6 +1,6 @@
 """Empirical classification of the structure-map laws.
 
-Every law in the closed registry LAW_IDS is checked on seeded random
+Every law registered with @law (listed in LAW_IDS) is checked on seeded random
 instances.  For each instance the checker builds both sides of the law
 and compares them with the equality oracle:
 
@@ -24,9 +24,10 @@ random.Random(f"{seed}|{law_id}|{k}") and reports carry no timestamps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .compose import compose_lenient, compose_strict, multi_compose
 from .core import (
@@ -43,39 +44,6 @@ from .expr import cube_from_exprs
 from .generators import extend_chain, gen_composable_pair, gen_cube, quadrants
 from .ops import Sign, connection, degeneracy, face, reverse
 from .tensor import reassociate, tensor
-
-LAW_IDS: tuple[str, ...] = (
-    "3.1.i",
-    "3.1.ii",
-    "3.1.iii.lt",
-    "3.1.iii.gt",
-    "3.1.iii.eq",
-    "3.2.i",
-    "3.2.ii",
-    "3.2.iii",
-    "3.2.iv",
-    "3.2.v",
-    "3.2.vi",
-    "3.2.vii",
-    "3.3.bounds",
-    "3.3.other",
-    "3.4",
-    "3.5",
-    "3.6.i",
-    "3.6.ii",
-    "3.6.iii",
-    "2.7.first",
-    "2.7.second",
-    "assoc",
-    "ident.left",
-    "ident.right",
-    "rev.involution",
-    "rev.faces",
-    "rev.antihom",
-    "tensor.shape",
-    "tensor.faces",
-    "tensor.assoc",
-)
 
 _SIGNS = (Sign.MINUS, Sign.PLUS)
 
@@ -101,16 +69,6 @@ class Witness:
     left: tuple[float, ...]
     right: tuple[float, ...]
     distance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "comparison": self.comparison,
-            "point": list(self.point),
-            "left": list(self.left),
-            "right": list(self.right),
-            "distance": self.distance,
-        }
 
 
 @dataclass(frozen=True)
@@ -158,19 +116,6 @@ class LawOutcome:
     witness: Witness | None
     note: str | None
 
-    def as_dict(self) -> dict:
-        return {
-            "law_id": self.law_id,
-            "classification": self.classification.value,
-            "instances_run": self.instances_run,
-            "count_strict": self.count_strict,
-            "count_action_only": self.count_action_only,
-            "count_failed": self.count_failed,
-            "count_not_constructible": self.count_not_constructible,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class LawReport:
@@ -190,7 +135,7 @@ class LawReport:
                 "tol_val": self.tol_val,
                 "tol_shape": self.tol_shape,
             },
-            "laws": {o.law_id: o.as_dict() for o in self.outcomes},
+            "laws": {o.law_id: asdict(o) for o in self.outcomes},
         }
 
 
@@ -209,7 +154,25 @@ def _cmp(name: str, lhs: MooreCube, rhs: MooreCube, **meta) -> LawCase:
 # ---------------------------------------------------------------------------
 # per-law case builders: (rng, k, oracle) -> LawCase
 
+_REGISTRY: dict[str, Callable[..., LawCase]] = {}
 
+
+def law(law_id: str):
+    """Register a case builder (rng, k, oracle) -> LawCase under law_id.
+
+    Registration order is the order of LAW_IDS and of the table.
+    """
+
+    def register(builder):
+        if law_id in _REGISTRY:
+            raise ValueError(f"law {law_id!r} is already registered")
+        _REGISTRY[law_id] = builder
+        return builder
+
+    return register
+
+
+@law("3.1.i")
 def _case_3_1_i(rng, k, oracle):
     combos = [
         (i, j, a, b)
@@ -224,6 +187,7 @@ def _case_3_1_i(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.d{j}{beta}", lhs, rhs)
 
 
+@law("3.1.ii")
 def _case_3_1_ii(rng, k, oracle):
     dim = 1 + k % 2
     pairs = [(i, j) for j in range(1, dim + 2) for i in range(1, j + 1)]
@@ -234,6 +198,7 @@ def _case_3_1_ii(rng, k, oracle):
     return _cmp(f"e{i}.e{j}", lhs, rhs)
 
 
+@law("3.1.iii.lt")
 def _case_3_1_iii_lt(rng, k, oracle):
     combos = [(i, j, a) for (i, j) in ((1, 2), (1, 3), (2, 3)) for a in _SIGNS]
     i, j, alpha = _pick(combos, k)
@@ -243,6 +208,7 @@ def _case_3_1_iii_lt(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.e{j}", lhs, rhs)
 
 
+@law("3.1.iii.gt")
 def _case_3_1_iii_gt(rng, k, oracle):
     combos = [(i, j, a) for (i, j) in ((2, 1), (3, 1), (3, 2)) for a in _SIGNS]
     i, j, alpha = _pick(combos, k)
@@ -252,6 +218,7 @@ def _case_3_1_iii_gt(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.e{j}", lhs, rhs)
 
 
+@law("3.1.iii.eq")
 def _case_3_1_iii_eq(rng, k, oracle):
     dim = 1 + k % 2
     combos = [(i, a) for i in range(1, dim + 2) for a in _SIGNS]
@@ -261,6 +228,7 @@ def _case_3_1_iii_eq(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.e{i}", lhs, x)
 
 
+@law("3.2.i")
 def _case_3_2_i(rng, k, oracle):
     combos = [(a, b) for a in _SIGNS for b in _SIGNS]
     alpha, beta = _pick(combos, k)
@@ -271,6 +239,7 @@ def _case_3_2_i(rng, k, oracle):
     return _cmp(f"c{i}{alpha}.c{j}{beta}", lhs, rhs)
 
 
+@law("3.2.ii")
 def _case_3_2_ii(rng, k, oracle):
     dim = 1 + k % 2
     combos = [(i, a) for i in range(1, dim + 1) for a in _SIGNS]
@@ -282,6 +251,7 @@ def _case_3_2_ii(rng, k, oracle):
     return _cmp(f"c{i}{alpha}.c{i}{alpha}", lhs, rhs)
 
 
+@law("3.2.iii")
 def _case_3_2_iii(rng, k, oracle):
     if k % 2:
         dim = 2
@@ -303,6 +273,7 @@ def _case_3_2_iii(rng, k, oracle):
     return _cmp(f"c{i}{alpha}.e{j}", lhs, rhs)
 
 
+@law("3.2.iv")
 def _case_3_2_iv(rng, k, oracle):
     dim = 1 if k % 3 < 2 else 2
     combos = [(j, a) for j in range(1, dim + 2) for a in _SIGNS]
@@ -320,6 +291,7 @@ def _case_3_2_iv(rng, k, oracle):
     )
 
 
+@law("3.2.v")
 def _case_3_2_v(rng, k, oracle):
     combos = [
         (i, j, a, b)
@@ -337,6 +309,7 @@ def _case_3_2_v(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.c{j}{beta}", lhs, rhs)
 
 
+@law("3.2.vi")
 def _case_3_2_vi(rng, k, oracle):
     dim = 1 + k % 2
     combos = [(j, a) for j in range(1, dim + 1) for a in _SIGNS]
@@ -351,6 +324,7 @@ def _case_3_2_vi(rng, k, oracle):
     )
 
 
+@law("3.2.vii")
 def _case_3_2_vii(rng, k, oracle):
     dim = 1 + k % 2
     combos = [(j, a) for j in range(1, dim + 1) for a in _SIGNS]
@@ -370,6 +344,7 @@ def _case_3_2_vii(rng, k, oracle):
     )
 
 
+@law("3.3.bounds")
 def _case_3_3_bounds(rng, k, oracle):
     dim = 1 + k % 2
     j = 1 + (k // 2) % dim
@@ -383,6 +358,7 @@ def _case_3_3_bounds(rng, k, oracle):
     )
 
 
+@law("3.3.other")
 def _case_3_3_other(rng, k, oracle):
     combos = [(i, j, a) for (i, j) in ((1, 2), (2, 1)) for a in _SIGNS]
     i, j, alpha = _pick(combos, k)
@@ -394,6 +370,7 @@ def _case_3_3_other(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.compose{j}", lhs, rhs)
 
 
+@law("3.4")
 def _case_3_4(rng, k, oracle):
     x = gen_cube(rng, 2, allow_zero=False)
     cut1 = x.shape[0] * rng.uniform(0.2, 0.8)
@@ -410,6 +387,7 @@ def _case_3_4(rng, k, oracle):
     )
 
 
+@law("3.5")
 def _case_3_5(rng, k, oracle):
     dim = 1 + k % 2
     combos = [(i, j) for j in range(1, dim + 1) for i in range(1, dim + 2)]
@@ -422,6 +400,7 @@ def _case_3_5(rng, k, oracle):
     return _cmp(f"e{i}.compose{j}", lhs, rhs)
 
 
+@law("3.6.i")
 def _case_3_6_i(rng, k, oracle):
     combos = [(i, j, a) for (i, j) in ((1, 2), (2, 1)) for a in _SIGNS]
     i, j, alpha = _pick(combos, k)
@@ -475,14 +454,8 @@ def _transport_case(rng, k, oracle, sign: Sign):
     )
 
 
-def _case_3_6_ii(rng, k, oracle):
-    return _transport_case(rng, k, oracle, Sign.PLUS)
-
-
-def _case_3_6_iii(rng, k, oracle):
-    return _transport_case(rng, k, oracle, Sign.MINUS)
-
-
+law("3.6.ii")(partial(_transport_case, sign=Sign.PLUS))
+law("3.6.iii")(partial(_transport_case, sign=Sign.MINUS))
 def _canonical_path() -> MooreCube:
     return cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t1"])
 
@@ -501,14 +474,11 @@ def _cancellation_case(rng, k, oracle, second: bool):
     return _cmp("cancellation", lhs, rhs, pivot=x.shape[i - 1])
 
 
-def _case_2_7_first(rng, k, oracle):
-    return _cancellation_case(rng, k, oracle, second=False)
+law("2.7.first")(partial(_cancellation_case, second=False))
+law("2.7.second")(partial(_cancellation_case, second=True))
 
 
-def _case_2_7_second(rng, k, oracle):
-    return _cancellation_case(rng, k, oracle, second=True)
-
-
+@law("assoc")
 def _case_assoc(rng, k, oracle):
     dim = 1 + k % 2
     j = 1 + (k // 2) % dim
@@ -530,14 +500,11 @@ def _identity_case(rng, k, oracle, left: bool):
     return _cmp("identity", built, a)
 
 
-def _case_ident_left(rng, k, oracle):
-    return _identity_case(rng, k, oracle, left=True)
+law("ident.left")(partial(_identity_case, left=True))
+law("ident.right")(partial(_identity_case, left=False))
 
 
-def _case_ident_right(rng, k, oracle):
-    return _identity_case(rng, k, oracle, left=False)
-
-
+@law("rev.involution")
 def _case_rev_involution(rng, k, oracle):
     dim = 1 + k % 2
     i = 1 + (k // 2) % dim
@@ -545,6 +512,7 @@ def _case_rev_involution(rng, k, oracle):
     return _cmp(f"rev{i}.rev{i}", reverse(reverse(x, i), i), x)
 
 
+@law("rev.faces")
 def _case_rev_faces(rng, k, oracle):
     dim = 1 + k % 2
     combos = [(i, a) for i in range(1, dim + 1) for a in _SIGNS]
@@ -555,6 +523,7 @@ def _case_rev_faces(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.rev{i}", lhs, rhs)
 
 
+@law("rev.antihom")
 def _case_rev_antihom(rng, k, oracle):
     dim = 1 + k % 2
     j = 1 + (k // 2) % dim
@@ -569,6 +538,7 @@ def _tensor_factors(rng, k):
     return gen_cube(rng, dim_a), gen_cube(rng, dim_b)
 
 
+@law("tensor.shape")
 def _case_tensor_shape(rng, k, oracle):
     a, b = _tensor_factors(rng, k)
     built = tensor(a, b)
@@ -581,6 +551,7 @@ def _case_tensor_shape(rng, k, oracle):
     return _cmp("pairing", built, expected)
 
 
+@law("tensor.faces")
 def _case_tensor_faces(rng, k, oracle):
     a, b = _tensor_factors(rng, k)
     total = a.dim + b.dim
@@ -594,6 +565,7 @@ def _case_tensor_faces(rng, k, oracle):
     return _cmp(f"d{i}{alpha}.tensor", lhs, rhs)
 
 
+@law("tensor.assoc")
 def _case_tensor_assoc(rng, k, oracle):
     a, b = _tensor_factors(rng, k)
     c = gen_cube(rng, 1)
@@ -602,59 +574,29 @@ def _case_tensor_assoc(rng, k, oracle):
     return _cmp("reassociated", reassociate(lhs, rhs.space), rhs)
 
 
-_REGISTRY: Mapping[str, Callable] = {
-    "3.1.i": _case_3_1_i,
-    "3.1.ii": _case_3_1_ii,
-    "3.1.iii.lt": _case_3_1_iii_lt,
-    "3.1.iii.gt": _case_3_1_iii_gt,
-    "3.1.iii.eq": _case_3_1_iii_eq,
-    "3.2.i": _case_3_2_i,
-    "3.2.ii": _case_3_2_ii,
-    "3.2.iii": _case_3_2_iii,
-    "3.2.iv": _case_3_2_iv,
-    "3.2.v": _case_3_2_v,
-    "3.2.vi": _case_3_2_vi,
-    "3.2.vii": _case_3_2_vii,
-    "3.3.bounds": _case_3_3_bounds,
-    "3.3.other": _case_3_3_other,
-    "3.4": _case_3_4,
-    "3.5": _case_3_5,
-    "3.6.i": _case_3_6_i,
-    "3.6.ii": _case_3_6_ii,
-    "3.6.iii": _case_3_6_iii,
-    "2.7.first": _case_2_7_first,
-    "2.7.second": _case_2_7_second,
-    "assoc": _case_assoc,
-    "ident.left": _case_ident_left,
-    "ident.right": _case_ident_right,
-    "rev.involution": _case_rev_involution,
-    "rev.faces": _case_rev_faces,
-    "rev.antihom": _case_rev_antihom,
-    "tensor.shape": _case_tensor_shape,
-    "tensor.faces": _case_tensor_faces,
-    "tensor.assoc": _case_tensor_assoc,
-}
-
-assert tuple(_REGISTRY) == LAW_IDS
+LAW_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 
-def build_case(law_id: str, seed: int, k: int, oracle: EqualityOracle) -> LawCase:
-    """Reconstruct instance k of a law exactly as the suite built it."""
+def _builder(law_id: str) -> Callable[..., LawCase]:
     try:
-        builder = _REGISTRY[law_id]
+        return _REGISTRY[law_id]
     except KeyError:
         raise UnknownLaw(f"no checker registered for {law_id!r}") from None
-    return builder(_rng(seed, law_id, k), k, oracle)
 
 
-def _witness_from(eq: Equality, k: int, name: str) -> Witness | None:
-    if eq.witness is None:
+def build_case(law_id: str, seed: int, k: int, oracle: EqualityOracle) -> LawCase:
+    """Reconstruct instance k of a law exactly as the suite built it."""
+    return _builder(law_id)(_rng(seed, law_id, k), k, oracle)
+
+
+def _witness_from(found: Equality | CompositionUndefined, k: int, name: str) -> Witness | None:
+    w = found.witness
+    if w is None:
         return None
-    w = eq.witness
     return Witness(k, name, w.point, w.left.coords, w.right.coords, w.distance)
 
 
@@ -665,10 +607,7 @@ def check_instance(
     case = build_case(law_id, seed, k, oracle)
     if case.failure is not None:
         exc = case.failure
-        witness = None
-        if exc.witness is not None:
-            w = exc.witness
-            witness = Witness(k, "construction", w.point, w.left.coords, w.right.coords, w.distance)
+        witness = _witness_from(exc, k, "construction")
         return InstanceResult(
             law_id, k, "failed", True, witness, f"construction: {exc}", case.meta
         )
@@ -704,9 +643,9 @@ def check_law(
     seed: int = 42,
     oracle: EqualityOracle | None = None,
 ) -> LawOutcome:
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     oracle = oracle or EqualityOracle()
-    if law_id not in _REGISTRY:
-        raise UnknownLaw(f"no checker registered for {law_id!r}")
     strict = action = failed = not_constructible = 0
     witness: Witness | None = None
     note: str | None = None
@@ -751,11 +690,12 @@ def run_suite(
     seed: int = 42,
     oracle: EqualityOracle | None = None,
 ) -> LawReport:
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     oracle = oracle or EqualityOracle()
     ids = tuple(law_ids) if law_ids is not None else LAW_IDS
     for law_id in ids:
-        if law_id not in _REGISTRY:
-            raise UnknownLaw(f"no checker registered for {law_id!r}")
+        _builder(law_id)
     outcomes = tuple(check_law(law_id, n_instances, seed, oracle) for law_id in ids)
     return LawReport(
         seed=seed,

@@ -144,6 +144,11 @@ class TestEqualityOracle:
     def test_rejects_degenerate_sampling(self):
         with pytest.raises(ValueError):
             EqualityOracle(samples_per_axis=1)
+        for bad in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                EqualityOracle(tol_val=bad)
+            with pytest.raises(ValueError):
+                EqualityOracle(tol_shape=bad)
 
     def test_strict_requires_matching_shape(self, c_square):
         other = make_cube(1, (2.5,), Euclidean(1), c_square.action)

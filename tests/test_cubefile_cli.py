@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import moorecubes
 from moorecubes import (
     EqualityOracle,
     Euclidean,
@@ -123,6 +127,27 @@ class TestRoundTrip:
         path.write_text(json.dumps(data))
         with pytest.raises(CubeFileError):
             load_cube(str(path))
+
+    def test_boolean_euclidean_dimension_is_rejected(self, tmp_path, capsys):
+        _, path = square_file(tmp_path)
+        data = json.loads(path.read_text())
+        data["target"] = {"kind": "euclidean", "dim": True}
+        path.write_text(json.dumps(data))
+        with pytest.raises(CubeFileError):
+            load_cube(str(path))
+        assert main(["sample", "--in", str(path)]) == 2
+
+    def test_non_list_header_shape_is_rejected(self, tmp_path, capsys):
+        cube, _ = square_file(tmp_path)
+        path = tmp_path / "conn.json"
+        save_cube(connection(cube, 1, Sign.MINUS), str(path))
+        data = json.loads(path.read_text())
+        assert "provenance" in data
+        data["shape"] = "x"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CubeFileError):
+            load_cube(str(path))
+        assert main(["sample", "--in", str(path)]) == 2
 
     def test_dict_round_trip_without_filesystem(self):
         cube = cube_from_exprs(1, Shape((2.0,)), Euclidean(1), ["t1^2"])
@@ -273,6 +298,30 @@ class TestCliCheckLaws:
         data = json.loads(report.read_text())
         assert data["laws"]["3.1.i"]["classification"] == "HOLDS_STRICT"
         assert data["config"]["instances"] == 2
+
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--instances", "-3"), ("--instances", "0"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf")],
+    )
+    def test_bad_instances_or_tolerance_exit_2(self, flag, value, capsys):
+        assert main(["check-laws", "--laws", "2.7.first", flag, value]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(moorecubes.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "moorecubes", "check-laws", "--laws", "3.1.i", "--instances", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        rows = done.stdout.splitlines()
+        assert rows[0].startswith("law ")
+        assert rows[1].split() == ["3.1.i", "HOLDS_STRICT", "1", "0", "0", "0"]
 
 
 class TestCliSvg:

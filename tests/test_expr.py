@@ -126,6 +126,34 @@ class TestCompilation:
         assert fn((x, y)) == eval_expr(tree, (x, y))
 
 
+class TestArithmeticFaults:
+    # source, env, the failing call or ^ node
+    CASES = [
+        ("exp(1000*t1)", (1.0,), "exp(1000*t1)"),
+        ("10^400*t1", (1.0,), "10^400"),
+        ("sin(1e308*10*t1)", (0.5,), "sin(1e308*10*t1)"),
+        ("1 + cos(t1) * exp(exp(t1))", (7.0,), "exp(exp(t1))"),
+    ]
+
+    @pytest.mark.parametrize("source,env,culprit", CASES)
+    def test_interpreter_and_compiler_raise_the_same_eval_error(self, source, env, culprit):
+        tree = parse_expr(source)
+        with pytest.raises(EvalError) as interpreted:
+            eval_expr(tree, env)
+        with pytest.raises(EvalError) as compiled:
+            compile_expr(tree, len(env))(env)
+        start, end = interpreted.value.span
+        assert source.encode("utf-8")[start:end].decode("utf-8") == culprit
+        assert compiled.value.span == interpreted.value.span
+        assert str(compiled.value) == str(interpreted.value)
+
+    def test_cube_evaluation_reports_the_fault(self):
+        cube = cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["exp(1000*t1)"])
+        assert cube.at((0.0,)).coords == (1.0,)
+        with pytest.raises(EvalError):
+            cube.at((1.0,))
+
+
 class TestPrinting:
     @pytest.mark.parametrize("source,env,expected", DSL_REGRESSION_VECTOR)
     def test_round_trip_preserves_value(self, source, env, expected):

@@ -11,6 +11,7 @@ from moorecubes.lawlab import (
     Classification,
     build_case,
     check_instance,
+    law,
     check_law,
     reevaluate_witness,
     run_suite,
@@ -38,6 +39,21 @@ class TestRegistry:
             check_law("no.such.law", 1, 1, oracle)
         with pytest.raises(UnknownLaw):
             run_suite(law_ids=["3.1.i", "bogus"], n_instances=1, seed=1, oracle=oracle)
+
+    def test_a_law_id_registers_once(self):
+        with pytest.raises(ValueError):
+            law("3.1.i")(lambda rng, k, oracle: None)
+        assert len(LAW_IDS) == 30
+        assert build_case("3.1.i", seed=1, k=0, oracle=oracle).comparisons
+
+    def test_instance_count_below_one_is_rejected(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                check_law("2.7.first", n, 42, oracle)
+            with pytest.raises(ValueError):
+                run_suite(law_ids=["2.7.first"], n_instances=n, seed=42, oracle=oracle)
+            with pytest.raises(ValueError):
+                run_suite(law_ids=[], n_instances=n, seed=42, oracle=oracle)
 
 
 class TestClassification:
