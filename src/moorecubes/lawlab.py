@@ -24,7 +24,7 @@ random.Random(f"{seed}|{law_id}|{k}") and reports carry no timestamps.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
@@ -127,16 +127,9 @@ class LawReport:
     outcomes: tuple[LawOutcome, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "config": {
-                "seed": self.seed,
-                "instances": self.instances,
-                "samples_per_axis": self.samples_per_axis,
-                "tol_val": self.tol_val,
-                "tol_shape": self.tol_shape,
-            },
-            "laws": {o.law_id: asdict(o) for o in self.outcomes},
-        }
+        """Every field but outcomes under "config"; each outcome under "laws"."""
+        config = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "outcomes"}
+        return {"config": config, "laws": {o.law_id: asdict(o) for o in self.outcomes}}
 
 
 def _rng(seed: int, law_id: str, k: int) -> random.Random:
@@ -456,6 +449,8 @@ def _transport_case(rng, k, oracle, sign: Sign):
 
 law("3.6.ii")(partial(_transport_case, sign=Sign.PLUS))
 law("3.6.iii")(partial(_transport_case, sign=Sign.MINUS))
+
+
 def _canonical_path() -> MooreCube:
     return cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t1"])
 
