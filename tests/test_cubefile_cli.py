@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -361,3 +362,94 @@ class TestCliUsage:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["sample", "--in", str(tmp_path / "ghost.json")]) == 2
+
+
+def _node_kind_cubes() -> dict:
+    """One cube per provenance node kind, built from DSL leaves."""
+    e1 = Euclidean(1)
+    base = cube_from_exprs(2, Shape((1.0, 2.0)), e1, ["t1*t2 + sin(t1)"])
+    x = cube_from_exprs(1, Shape((2.0,)), e1, ["t1^2"])
+    y = cube_from_exprs(1, Shape((3.0,)), e1, ["4 + t1"])
+    z = cube_from_exprs(1, Shape((1.0,)), e1, ["t1"])
+    narrow = cube_from_exprs(2, Shape((1.0, 2.0)), e1, ["t1*t2"])
+    wide = cube_from_exprs(2, Shape((2.0, 3.0)), e1, ["min(t2, 2) + t1"])
+    return {
+        "primitive": base,
+        "face": face(base, 1, Sign.PLUS),
+        "degeneracy": degeneracy(base, 2),
+        "connection": connection(base, 1, Sign.MINUS),
+        "reverse": reverse(base, 2),
+        "compose_strict": compose_strict(x, y, 1),
+        "compose_lenient": compose_lenient(narrow, wide, 1),
+        "tensor": tensor(x, y),
+        "reassociate": reassociate(tensor(tensor(x, y), z), Product(e1, Product(e1, e1))),
+    }
+
+
+def _sampled_cubes() -> dict:
+    """Cubes whose grid values depend on where evaluation clamps."""
+    e1 = Euclidean(1)
+    # lenient: the left piece is narrower in direction 2 than the composite
+    lenient = _node_kind_cubes()["compose_lenient"]
+    # strict: the right piece is wider by 1e-12 in direction 2
+    a = cube_from_exprs(2, Shape((1.0, 2.0)), e1, ["t1 + t2"])
+    b = cube_from_exprs(2, Shape((1.0, 2.0 + 1e-12)), e1, ["1 + t1*t1 + t2"])
+    strict = compose_strict(a, b, 1)
+    # strict: the right piece is narrower by 1e-12 in direction 2
+    b = cube_from_exprs(2, Shape((1.0, 2.0 - 1e-12)), e1, ["1 + t1*t1 + t2"])
+    strict_narrow = compose_strict(a, b, 1)
+    # a face/degeneracy/connection/reverse/tensor/reassociate stack
+    base = cube_from_exprs(2, Shape((1.0, 2.0)), e1, ["t1*t2 + sin(t1)"])
+    flat = face(connection(base, 1, Sign.MINUS), 3, Sign.MINUS)
+    flat = reverse(face(degeneracy(flat, 1), 2, Sign.PLUS), 2)
+    x = cube_from_exprs(1, Shape((2.0,)), e1, ["t1^2"])
+    y = cube_from_exprs(1, Shape((3.0,)), e1, ["4 + t1"])
+    stack = reassociate(tensor(tensor(flat, x), y), Product(e1, Product(e1, e1)))
+    return {"lenient": lenient, "strict": strict, "strict_narrow": strict_narrow, "stack": stack}
+
+
+class TestFileAndValueDigests:
+    """Saved bytes and sampled values, pinned so refactors cannot move them."""
+
+    FILE_SHA256 = {
+        "compose_lenient": "95640b0701c5ca3a1b91bfba2db225e202466df9f855f485e3b15752d33189d3",
+        "compose_strict": "56a68c08abc43537aca49b435491e22cb116578ee366eec8101c09bbef82994c",
+        "connection": "21e739cd305fefb7da4d69a01b8899e62a881036e208a8ba3f412720a21af77d",
+        "degeneracy": "5b89f2b2b93d1b13966cbe16ab7bf6c1b62f729499f38fcc107eb89eb68ff6bc",
+        "face": "065c9295dcaf8c882ee02d9b4ace5fb6f6393822ca8eabad40428ae7b29d5fe8",
+        "primitive": "088082acfc0a8a78620d84a0a3e464015f34032a84eb188f3529ff2a3f60b875",
+        "reassociate": "9a6f1ca7dfd6e885fd9e6d873f0c7fabd28e036bba04da7a4a3827a21bdabc38",
+        "reverse": "e2ec9726c29655a3bdc0739523b52d63ccb236f0697a395bab391092ee11c372",
+        "tensor": "81ae3721545f6664465c0c069249b3fa26a95053b2d8be2a63dfcc2baca27391",
+    }
+
+    VALUES_SHA256 = {
+        "lenient": "4d6f8464b9f2cb72ab6f1b48c1cebda30527ff0ba60285c29b454d34290b0067",
+        "strict": "8b01adbbfed05034f769ce9c7ceb84b0adadd0a1fdbb39eb4151172bd061a332",
+        "strict_narrow": "65e0b400720722ab5b16111d98b4eba340523ec4e56c30424e42bf7ed06d9d1c",
+        "stack": "53d8c240b5ae00cd9f7bc26d24c03b7ab71567e4d8f67816eb5c39acf50d6588",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(_node_kind_cubes()))
+    def test_saved_file_bytes(self, kind, tmp_path):
+        path = tmp_path / f"{kind}.json"
+        save_cube(_node_kind_cubes()[kind], str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FILE_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", sorted(_node_kind_cubes()))
+    def test_save_load_save_is_byte_identical(self, kind, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_cube(_node_kind_cubes()[kind], str(first))
+        save_cube(load_cube(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_compose_without_lenient_key_loads_strict(self):
+        data = cube_to_dict(_node_kind_cubes()["compose_strict"])
+        del data["provenance"]["lenient"]
+        assert cube_from_dict(data).provenance.lenient is False
+
+    @pytest.mark.parametrize("name", ["lenient", "strict", "strict_narrow", "stack"])
+    def test_sampled_values(self, name):
+        cube = _sampled_cubes()[name]
+        rows = [(p, cube.at(p).coords) for p in EqualityOracle(samples_per_axis=5).grid(cube.shape)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.VALUES_SHA256[name]
