@@ -28,7 +28,6 @@ from .core import (
     Shape,
     Space,
     TensorNode,
-    distance,
     make_cube,
     point_cube,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "cube_from_exprs",
     "cube_to_dict",
     "degeneracy",
-    "distance",
     "eval_expr",
     "extend_chain",
     "face",

@@ -28,18 +28,6 @@ def _precheck(a: MooreCube, b: MooreCube, j: int) -> None:
         raise BadIndex(f"composition direction {j} out of range 1..{a.dim}")
 
 
-def _glue(a: MooreCube, b: MooreCube, j: int, extents: tuple[float, ...], lenient: bool) -> MooreCube:
-    k = j - 1
-    cut = a.shape[k]
-
-    def action(ts: tuple[float, ...]):
-        if ts[k] <= cut:
-            return a.action(a.clamp(ts))
-        return b.action(b.clamp(ts[:k] + (ts[k] - cut,) + ts[k + 1 :]))
-
-    return MooreCube(Shape(extents), a.space, action, ComposeNode(j, lenient, a, b))
-
-
 def compose_strict(
     a: MooreCube, b: MooreCube, j: int, oracle: EqualityOracle | None = None
 ) -> MooreCube:
@@ -59,7 +47,7 @@ def compose_strict(
     extents = tuple(
         a.shape[i] + b.shape[i] if i == k else a.shape[i] for i in range(a.dim)
     )
-    return _glue(a, b, j, extents, lenient=False)
+    return MooreCube(Shape(extents), a.space, ComposeNode(a, b, j, False))
 
 
 def compose_lenient(
@@ -81,7 +69,7 @@ def compose_lenient(
         a.shape[i] + b.shape[i] if i == k else max(a.shape[i], b.shape[i])
         for i in range(a.dim)
     )
-    return _glue(a, b, j, extents, lenient=True)
+    return MooreCube(Shape(extents), a.space, ComposeNode(a, b, j, True))
 
 
 _NOT_CUBES = "grid entries must be cubes (is the grid ragged?)"

@@ -84,7 +84,8 @@ class Product:
 
     def distance(self, p: Sequence[float], q: Sequence[float]) -> float:
         k = self.left.total_dim
-        return max(self.left.distance(p[:k], q[:k]), self.right.distance(p[k:], q[k:]))
+        dl, dr = self.left.distance(p[:k], q[:k]), self.right.distance(p[k:], q[k:])
+        return max(dl, dr) if dl == dl and dr == dr else math.nan
 
 
 Space = Union[Euclidean, Product]
@@ -106,56 +107,84 @@ class Point:
         return self.coords[k]
 
 
-def distance(space: Space, p: Point, q: Point) -> float:
-    return space.distance(p.coords, q.coords)
-
-
 # ---------------------------------------------------------------------------
 # provenance
 
-# Construction trees are kept purely for serialization and diagram
-# rendering; evaluation never consults them.
+# A cube's provenance node is the whole description of its action: its
+# fields are the arguments of the structure map that builds it (and its
+# cube-file keys), and act(ts) evaluates it at a point of the cube's box.
+# MooreCube.at clamps once; every map below sends the box into its source's
+# box, so only composition clamps again, for pieces narrower than the whole.
 
 
 @dataclass(frozen=True, slots=True)
 class Primitive:
     """Leaf node; exprs holds the defining source strings when known."""
 
-    exprs: tuple[str, ...] | None = None
+    exprs: tuple[str, ...] | None
+    act: Callable[[tuple[float, ...]], Point] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class FaceNode:
+    source: "MooreCube"
     i: int
     sign: str
-    source: "MooreCube"
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        k = self.i - 1
+        val = self.source.shape.extents[k] if self.sign == "+" else 0.0
+        return self.source.provenance.act(ts[:k] + (val,) + ts[k:])
 
 
 @dataclass(frozen=True, slots=True)
 class DegeneracyNode:
-    i: int
     source: "MooreCube"
+    i: int
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        k = self.i - 1
+        return self.source.provenance.act(ts[:k] + ts[k + 1 :])
 
 
 @dataclass(frozen=True, slots=True)
 class ConnectionNode:
+    source: "MooreCube"
     i: int
     sign: str
-    source: "MooreCube"
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        k = self.i - 1
+        merge = min if self.sign == "+" else max
+        return self.source.provenance.act(ts[:k] + (merge(ts[k], ts[k + 1]),) + ts[k + 2 :])
 
 
 @dataclass(frozen=True, slots=True)
 class ReverseNode:
-    i: int
     source: "MooreCube"
+    i: int
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        k = self.i - 1
+        r = self.source.shape.extents[k]
+        return self.source.provenance.act(ts[:k] + (r - ts[k],) + ts[k + 1 :])
 
 
 @dataclass(frozen=True, slots=True)
 class ComposeNode:
-    direction: int
-    lenient: bool
     left: "MooreCube"
     right: "MooreCube"
+    direction: int
+    lenient: bool
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        k = self.direction - 1
+        a = self.left
+        cut = a.shape.extents[k]
+        if ts[k] <= cut:
+            return a.provenance.act(a.clamp(ts))
+        b = self.right
+        return b.provenance.act(b.clamp(ts[:k] + (ts[k] - cut,) + ts[k + 1 :]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,11 +192,20 @@ class TensorNode:
     left: "MooreCube"
     right: "MooreCube"
 
+    def act(self, ts: tuple[float, ...]) -> Point:
+        m = len(self.left.shape.extents)
+        pa = self.left.provenance.act(ts[:m])
+        pb = self.right.provenance.act(ts[m:])
+        return Point(pa.coords + pb.coords)
+
 
 @dataclass(frozen=True, slots=True)
 class ReassociateNode:
-    space: "Space"
     source: "MooreCube"
+    space: "Space"
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        return self.source.provenance.act(ts)
 
 
 Provenance = Union[
@@ -188,12 +226,11 @@ Provenance = Union[
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MooreCube:
-    """A shape vector plus a clamped action into a target space."""
+    """A shape vector, a target space, and the node that acts on the box."""
 
     shape: Shape
     space: Space
-    action: Callable[[tuple[float, ...]], Point]
-    provenance: Provenance = field(default_factory=Primitive)
+    provenance: Provenance
 
     @property
     def dim(self) -> int:
@@ -212,7 +249,11 @@ class MooreCube:
             raise DimensionMismatch(
                 f"cube of dimension {self.dim} evaluated at {len(ts)} coordinates"
             )
-        return self.action(self.clamp(ts))
+        return self.provenance.act(self.clamp(ts))
+
+    def action(self, ts: Sequence[float]) -> Point:
+        """Evaluate at a point of the box, without clamping."""
+        return self.provenance.act(ts)
 
     def __call__(self, *coords: float) -> Point:
         return self.at(coords)
@@ -253,11 +294,10 @@ def make_cube(
         raise DimensionMismatch(f"dim {dim} does not match shape of length {len(shape)}")
     total = space.total_dim
 
-    def action(ts: tuple[float, ...]) -> Point:
+    def act(ts: tuple[float, ...]) -> Point:
         return _coerce_point(evaluator(ts), total)
 
-    prov = Primitive(tuple(exprs) if exprs is not None else None)
-    return MooreCube(shape=shape, space=space, action=action, provenance=prov)
+    return MooreCube(shape, space, Primitive(tuple(exprs) if exprs is not None else None, act))
 
 
 def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCube:
@@ -268,6 +308,8 @@ def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCub
 
 # ---------------------------------------------------------------------------
 # equality oracle
+
+BEYOND_MARGIN = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,12 +344,11 @@ class EqualityOracle:
     """Decides cube equality by sampling a deterministic grid.
 
     Each axis of extent r contributes samples_per_axis evenly spaced
-    points from 0 to r plus one beyond-extent probe at r + beyond_margin,
+    points from 0 to r plus one beyond-extent probe at r + BEYOND_MARGIN,
     which is what catches constancy violations past the boundary.
     """
 
     samples_per_axis: int = 5
-    beyond_margin: float = 1.0
     tol_val: float = 1e-9
     tol_shape: float = 1e-9
 
@@ -322,7 +363,7 @@ class EqualityOracle:
     def axis_samples(self, extent: float) -> list[float]:
         s = self.samples_per_axis
         pts = [extent * (k / (s - 1)) for k in range(s)]
-        pts.append(extent + self.beyond_margin)
+        pts.append(extent + BEYOND_MARGIN)
         return list(dict.fromkeys(pts))
 
     def grid(self, shape: Shape) -> Iterator[tuple[float, ...]]:
@@ -349,8 +390,10 @@ class EqualityOracle:
             pa = a.at(t)
             pb = b.at(t)
             d = a.space.distance(pa.coords, pb.coords)
-            if d > worst:
+            if not d <= worst:  # farther, or NaN: the first NaN point is the witness
                 worst, at, vals = d, t, (pa, pb)
+                if d != d:
+                    break
         if worst <= self.tol_val:
             return Equality(True, "equal")
         witness = EqualityWitness(point=at, left=vals[0], right=vals[1], distance=worst)

@@ -12,6 +12,7 @@ same way it would fail to build.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
 from .compose import compose_lenient, compose_strict
@@ -36,6 +37,11 @@ from .ops import Sign, connection, degeneracy, face, reverse
 from .tensor import reassociate, tensor
 
 FORMAT = "moore-cube/1"
+
+# Deepest provenance tree (nodes from the root to a leaf) that files may hold.
+# It keeps loading, saving and evaluating within Python's recursion limit.
+MAX_DEPTH = 500
+_TOO_DEEP = f"provenance nested too deeply (the limit is {MAX_DEPTH} levels)"
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +76,28 @@ def space_from_json(data: Any) -> Space:
 # provenance trees
 
 
-def _node_to_json(cube: MooreCube) -> dict:
+def _compose(left: MooreCube, right: MooreCube, direction: int, lenient) -> MooreCube:
+    return (compose_lenient if lenient else compose_strict)(left, right, direction)
+
+
+# Node class -> (file kind, the structure map taking the node's fields in order).
+_NODES = {
+    FaceNode: ("face", face),
+    DegeneracyNode: ("degeneracy", degeneracy),
+    ConnectionNode: ("connection", connection),
+    ReverseNode: ("reverse", reverse),
+    ComposeNode: ("compose", _compose),
+    TensorNode: ("tensor", tensor),
+    ReassociateNode: ("reassociate", reassociate),
+}
+_KINDS = {kind: (node_class, build) for node_class, (kind, build) in _NODES.items()}
+_CUBE_FIELDS = ("source", "left", "right")
+_KEYS = {"source": "of", "space": "target"}
+
+
+def _node_to_json(cube: MooreCube, depth: int = 1) -> dict:
+    if depth > MAX_DEPTH:
+        raise CubeFileError(_TOO_DEEP)
     node = cube.provenance
     if isinstance(node, Primitive):
         if node.exprs is None:
@@ -84,40 +111,15 @@ def _node_to_json(cube: MooreCube) -> dict:
             "target": space_to_json(cube.space),
             "expr": list(node.exprs),
         }
-    if isinstance(node, FaceNode):
-        return {"kind": "face", "i": node.i, "sign": node.sign, "of": _node_to_json(node.source)}
-    if isinstance(node, DegeneracyNode):
-        return {"kind": "degeneracy", "i": node.i, "of": _node_to_json(node.source)}
-    if isinstance(node, ConnectionNode):
-        return {
-            "kind": "connection",
-            "i": node.i,
-            "sign": node.sign,
-            "of": _node_to_json(node.source),
-        }
-    if isinstance(node, ReverseNode):
-        return {"kind": "reverse", "i": node.i, "of": _node_to_json(node.source)}
-    if isinstance(node, ComposeNode):
-        return {
-            "kind": "compose",
-            "direction": node.direction,
-            "lenient": node.lenient,
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    if isinstance(node, TensorNode):
-        return {
-            "kind": "tensor",
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    if isinstance(node, ReassociateNode):
-        return {
-            "kind": "reassociate",
-            "target": space_to_json(node.space),
-            "of": _node_to_json(node.source),
-        }
-    raise CubeFileError(f"unknown provenance node {type(node).__name__}")
+    out = {"kind": _NODES[type(node)][0]}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if f.name in _CUBE_FIELDS:
+            value = _node_to_json(value, depth + 1)
+        elif f.name == "space":
+            value = space_to_json(value)
+        out[_KEYS.get(f.name, f.name)] = value
+    return out
 
 
 def _require(data: Any, key: str, kind: str):
@@ -126,50 +128,31 @@ def _require(data: Any, key: str, kind: str):
     return data[key]
 
 
-def _sign_from(text: Any) -> Sign:
+def _sign_from(data: dict, key: str, kind: str) -> Sign:
+    text = _require(data, key, kind)
     try:
         return Sign(text)
     except ValueError:
         raise CubeFileError(f"bad sign {text!r} (expected '+' or '-')") from None
 
 
-def _node_from_json(data: Any) -> MooreCube:
+def _node_from_json(data: Any, depth: int = 1) -> MooreCube:
+    if depth > MAX_DEPTH:
+        raise CubeFileError(_TOO_DEEP)
     kind = _require(data, "kind", "provenance")
     if kind == "primitive":
         return _primitive_from_json(data)
-    if kind == "face":
-        return face(
-            _node_from_json(_require(data, "of", kind)),
-            _int_field(data, "i", kind),
-            _sign_from(_require(data, "sign", kind)),
-        )
-    if kind == "degeneracy":
-        return degeneracy(_node_from_json(_require(data, "of", kind)), _int_field(data, "i", kind))
-    if kind == "connection":
-        return connection(
-            _node_from_json(_require(data, "of", kind)),
-            _int_field(data, "i", kind),
-            _sign_from(_require(data, "sign", kind)),
-        )
-    if kind == "reverse":
-        return reverse(_node_from_json(_require(data, "of", kind)), _int_field(data, "i", kind))
-    if kind == "compose":
-        left = _node_from_json(_require(data, "left", kind))
-        right = _node_from_json(_require(data, "right", kind))
-        direction = _int_field(data, "direction", kind)
-        combine = compose_lenient if data.get("lenient") else compose_strict
-        return combine(left, right, direction)
-    if kind == "tensor":
-        return tensor(
-            _node_from_json(_require(data, "left", kind)),
-            _node_from_json(_require(data, "right", kind)),
-        )
-    if kind == "reassociate":
-        return reassociate(
-            _node_from_json(_require(data, "of", kind)),
-            space_from_json(_require(data, "target", kind)),
-        )
-    raise CubeFileError(f"unknown provenance kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise CubeFileError(f"unknown provenance kind {kind!r}")
+    node_class, build = _KINDS[kind]
+    args = []
+    for f in fields(node_class):
+        key = _KEYS.get(f.name, f.name)
+        if f.name in _CUBE_FIELDS:
+            args.append(_node_from_json(_require(data, key, kind), depth + 1))
+        else:
+            args.append(_READERS[f.name](data, key, kind))
+    return build(*args)
 
 
 def _int_field(data: dict, key: str, kind: str) -> int:
@@ -177,6 +160,16 @@ def _int_field(data: dict, key: str, kind: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise CubeFileError(f"{kind} field {key!r} must be an integer, got {value!r}")
     return value
+
+
+# Node field -> reader of its file key; "lenient" is optional and read for truth.
+_READERS = {
+    "i": _int_field,
+    "direction": _int_field,
+    "sign": _sign_from,
+    "lenient": lambda data, key, kind: data.get(key),
+    "space": lambda data, key, kind: space_from_json(_require(data, key, kind)),
+}
 
 
 def _shape_field(data: dict, kind: str, dim: int) -> Shape:
@@ -251,8 +244,9 @@ def cube_from_dict(data: Any) -> MooreCube:
 
 
 def save_cube(cube: MooreCube, path: str) -> None:
+    data = cube_to_dict(cube)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(cube_to_dict(cube), handle, indent=2, sort_keys=True)
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -264,4 +258,6 @@ def load_cube(path: str) -> MooreCube:
         raise CubeFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CubeFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CubeFileError(f"cannot read {path}: {_TOO_DEEP}") from None
     return cube_from_dict(data)

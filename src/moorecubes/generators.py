@@ -15,6 +15,9 @@ from .errors import BadIndex
 from .expr import cube_from_exprs
 from .ops import Sign, face
 
+P_ZERO = 0.1  # chance that a random extent is zero, where zero extents are allowed
+P_TRIG = 0.25  # chance that a random coordinate expression is wrapped in sin
+
 
 def _poly_source(rng: random.Random, dim: int, trig: bool) -> str:
     """A degree <= 2 polynomial in t1..tdim with small integer coefficients."""
@@ -47,20 +50,18 @@ def gen_cube(
     space: Space | None = None,
     shape: Shape | Sequence[float] | None = None,
     allow_zero: bool = True,
-    p_zero: float = 0.1,
-    p_trig: float = 0.25,
 ) -> MooreCube:
     """A random cube: random extents and polynomial (or sine-wrapped) action."""
     if space is None:
         space = Euclidean(rng.randint(1, 2))
     if shape is None:
         extents = tuple(
-            0.0 if allow_zero and rng.random() < p_zero else rng.uniform(0.5, 3.0)
+            0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
             for _ in range(dim)
         )
         shape = Shape(extents)
     exprs = [
-        _poly_source(rng, dim, trig=rng.random() < p_trig)
+        _poly_source(rng, dim, trig=rng.random() < P_TRIG)
         for _ in range(space.total_dim)
     ]
     return cube_from_exprs(dim, shape, space, exprs)
@@ -72,7 +73,6 @@ def extend_chain(
     j: int,
     *,
     allow_zero: bool = False,
-    p_zero: float = 0.1,
 ) -> MooreCube:
     """A random cube whose lower j-face equals prev's upper j-face exactly.
 
@@ -84,7 +84,7 @@ def extend_chain(
         raise BadIndex(f"direction {j} out of range for dimension {dim}")
     extents = list(prev.shape.extents)
     extents[j - 1] = (
-        0.0 if allow_zero and rng.random() < p_zero else rng.uniform(0.5, 3.0)
+        0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
     )
     shape = Shape(tuple(extents))
     g = gen_cube(rng, dim, space=prev.space, shape=shape)

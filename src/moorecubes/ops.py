@@ -42,13 +42,8 @@ def face(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     """The (n-1)-cube obtained by fixing t_i at 0 (minus) or r_i (plus)."""
     _check_index(i, c.dim, "face")
     k = i - 1
-    val = c.shape[k] if sign is Sign.PLUS else 0.0
     shape = Shape(c.shape.extents[:k] + c.shape.extents[k + 1 :])
-
-    def action(ts: tuple[float, ...]):
-        return c.action(c.clamp(ts[:k] + (val,) + ts[k:]))
-
-    return MooreCube(shape, c.space, action, FaceNode(i, sign.value, c))
+    return MooreCube(shape, c.space, FaceNode(c, i, sign.value))
 
 
 def degeneracy(c: MooreCube, i: int) -> MooreCube:
@@ -56,11 +51,7 @@ def degeneracy(c: MooreCube, i: int) -> MooreCube:
     _check_index(i, c.dim + 1, "degeneracy")
     k = i - 1
     shape = Shape(c.shape.extents[:k] + (0.0,) + c.shape.extents[k:])
-
-    def action(ts: tuple[float, ...]):
-        return c.action(c.clamp(ts[:k] + ts[k + 1 :]))
-
-    return MooreCube(shape, c.space, action, DegeneracyNode(i, c))
+    return MooreCube(shape, c.space, DegeneracyNode(c, i))
 
 
 def connection(c: MooreCube, i: int, sign: Sign) -> MooreCube:
@@ -75,22 +66,10 @@ def connection(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     k = i - 1
     r = c.shape[k]
     shape = Shape(c.shape.extents[:k] + (r, r) + c.shape.extents[k + 1 :])
-    merge = min if sign is Sign.PLUS else max
-
-    def action(ts: tuple[float, ...]):
-        merged = ts[:k] + (merge(ts[k], ts[k + 1]),) + ts[k + 2 :]
-        return c.action(c.clamp(merged))
-
-    return MooreCube(shape, c.space, action, ConnectionNode(i, sign.value, c))
+    return MooreCube(shape, c.space, ConnectionNode(c, i, sign.value))
 
 
 def reverse(c: MooreCube, i: int) -> MooreCube:
     """The cube traversing direction i backwards: t_i maps to r_i - t_i."""
     _check_index(i, c.dim, "reverse")
-    k = i - 1
-    r = c.shape[k]
-
-    def action(ts: tuple[float, ...]):
-        return c.action(c.clamp(ts[:k] + (r - ts[k],) + ts[k + 1 :]))
-
-    return MooreCube(c.shape, c.space, action, ReverseNode(i, c))
+    return MooreCube(c.shape, c.space, ReverseNode(c, i))

@@ -30,6 +30,7 @@ _FILL = "#eef3fa"
 _SEAM = "#b3543c"
 _CONSTANCY = "#3c7ab3"
 _HATCH = "#7a7a7a"
+_PADDING = 36.0
 
 
 def _fmt(value: float) -> str:
@@ -60,21 +61,21 @@ def _compose_cuts(cube: MooreCube, offset: float, out: list[float]) -> None:
         _compose_cuts(node.right, cut, out)
 
 
-def render_svg(cube: MooreCube, *, scale: float = 80.0, padding: float = 36.0) -> str:
+def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
     """Render a 2-cube as a standalone SVG document string."""
     if cube.dim != 2:
         raise DimensionMismatch(f"SVG rendering needs a 2-cube, got dimension {cube.dim}")
     r1, r2 = cube.shape.extents
     box_w = max(r1 * scale, 2.0)
     box_h = max(r2 * scale, 2.0)
-    width = 2 * padding + box_w
-    height = 2 * padding + box_h + 18
+    width = 2 * _PADDING + box_w
+    height = 2 * _PADDING + box_h + 18
 
     def px(t1: float) -> float:
-        return padding + t1 * scale
+        return _PADDING + t1 * scale
 
     def py(t2: float) -> float:
-        return padding + (r2 - t2) * scale if r2 > 0 else padding + box_h * 0.5
+        return _PADDING + (r2 - t2) * scale if r2 > 0 else _PADDING + box_h * 0.5
 
     body: list[str] = []
 
@@ -166,13 +167,13 @@ def render_svg(cube: MooreCube, *, scale: float = 80.0, padding: float = 36.0) -
         f'<rect x="{_fmt(px(0.0))}" y="{_fmt(py(r2))}" width="{_fmt(box_w)}" '
         f'height="{_fmt(box_h)}" fill="{_FILL}" stroke="{_OUTLINE}" stroke-width="2" />',
         *body,
-        f'<text x="{_fmt(padding)}" y="{_fmt(height - 8)}" '
+        f'<text x="{_fmt(_PADDING)}" y="{_fmt(height - 8)}" '
         f'font-family="monospace" font-size="12" fill="{_OUTLINE}">{caption}</text>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
 
 
-def save_svg(cube: MooreCube, path: str, *, scale: float = 80.0, padding: float = 36.0) -> None:
+def save_svg(cube: MooreCube, path: str, *, scale: float = 80.0) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(cube, scale=scale, padding=padding))
+        handle.write(render_svg(cube, scale=scale))

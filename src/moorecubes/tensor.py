@@ -1,22 +1,14 @@
 """Tensor product of cubes over the product of their target spaces."""
 from __future__ import annotations
 
-from .core import MooreCube, Point, Product, ReassociateNode, Shape, Space, TensorNode
+from .core import MooreCube, Product, ReassociateNode, Shape, Space, TensorNode
 from .errors import DimensionMismatch
 
 
 def tensor(a: MooreCube, b: MooreCube) -> MooreCube:
     """The (m+n)-cube running a on the first m directions and b on the rest."""
-    m = a.dim
     shape = Shape(a.shape.extents + b.shape.extents)
-    space = Product(a.space, b.space)
-
-    def action(ts: tuple[float, ...]) -> Point:
-        pa = a.action(a.clamp(ts[:m]))
-        pb = b.action(b.clamp(ts[m:]))
-        return Point(pa.coords + pb.coords)
-
-    return MooreCube(shape, space, action, TensorNode(a, b))
+    return MooreCube(shape, Product(a.space, b.space), TensorNode(a, b))
 
 
 def reassociate(c: MooreCube, space: Space) -> MooreCube:
@@ -28,4 +20,4 @@ def reassociate(c: MooreCube, space: Space) -> MooreCube:
         raise DimensionMismatch(
             f"cannot reassociate {c.space} as {space}: factor lists differ"
         )
-    return MooreCube(c.shape, space, c.action, ReassociateNode(space, c))
+    return MooreCube(c.shape, space, ReassociateNode(c, space))

@@ -16,8 +16,10 @@ from moorecubes import (
     Point,
     Product,
     Shape,
+    cube_from_exprs,
     make_cube,
     point_cube,
+    tensor,
 )
 from moorecubes.errors import DimensionMismatch
 
@@ -205,3 +207,35 @@ class TestEqualityOracle:
             lambda ts: (sum(v * v for v in ts),),
         )
         assert EqualityOracle().equals_strict(c, c)
+
+
+class TestNaNDistance:
+    """A NaN distance is a difference, never a match."""
+
+    nan_cube = cube_from_exprs(1, (2.0,), Euclidean(1), ["1e308*10*t1 - 1e308*10*t1"])
+    five = cube_from_exprs(1, (2.0,), Euclidean(1), ["5"])
+
+    @pytest.mark.parametrize("method", ["equals_strict", "equals_action"])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_nan_cube_differs_from_a_constant(self, method, flip):
+        a, b = (self.five, self.nan_cube) if flip else (self.nan_cube, self.five)
+        eq = getattr(EqualityOracle(), method)(a, b)
+        assert not eq and eq.reason == "action"
+        assert eq.witness.point == (0.0,)
+        assert math.isnan(eq.witness.distance)
+
+    def test_witness_is_the_first_nan_point(self):
+        late = make_cube(
+            1, (2.0,), Euclidean(1), lambda ts: (math.nan if ts[0] > 1.0 else 0.0,)
+        )
+        eq = EqualityOracle().equals_strict(late, self.five)
+        assert not eq
+        assert eq.witness.point == (1.5,)
+        assert math.isnan(eq.witness.distance)
+
+    def test_nan_in_one_factor_of_a_product(self):
+        eq = EqualityOracle().equals_strict(
+            tensor(self.five, self.nan_cube), tensor(self.five, self.five)
+        )
+        assert not eq and math.isnan(eq.witness.distance)
+        assert math.isnan(Product(Euclidean(1), Euclidean(1)).distance((0.0, 0.0), (0.0, math.nan)))

@@ -29,7 +29,7 @@ from moorecubes import (
     tensor,
 )
 from moorecubes.cli import main
-from moorecubes.cubefile import FORMAT, CubeFileError, cube_from_dict, cube_to_dict
+from moorecubes.cubefile import FORMAT, MAX_DEPTH, CubeFileError, cube_from_dict, cube_to_dict
 from moorecubes.expr import cube_from_exprs
 
 oracle = EqualityOracle()
@@ -453,3 +453,59 @@ class TestFileAndValueDigests:
         cube = _sampled_cubes()[name]
         rows = [(p, cube.at(p).coords) for p in EqualityOracle(samples_per_axis=5).grid(cube.shape)]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.VALUES_SHA256[name]
+
+
+def _chain_text(pieces: int) -> str:
+    """A left-nested chain of constant pieces, written as text without recursion."""
+    leaf = json.dumps(
+        {"kind": "primitive", "dim": 1, "shape": [1.0], "target": {"kind": "euclidean", "dim": 1}, "expr": ["1"]}
+    )
+    return "".join([
+        '{"dim": 1, "format": "moore-cube/1", "provenance": ',
+        '{"direction": 1, "kind": "compose", "left": ' * (pieces - 1),
+        leaf,
+        f', "lenient": false, "right": {leaf}}}' * (pieces - 1),
+        f', "shape": [{float(pieces)!r}], "target": {{"dim": 1, "kind": "euclidean"}}}}\n',
+    ])
+
+
+class TestDepthLimit:
+    def test_files_at_the_limit_load_save_and_sample(self, tmp_path, capsys):
+        path, again = tmp_path / "chain.json", tmp_path / "again.json"
+        path.write_text(_chain_text(MAX_DEPTH))
+        cube = load_cube(str(path))
+        assert cube.shape.extents == (float(MAX_DEPTH),)
+        assert cube.at((0.5,)).coords == (1.0,)
+        save_cube(cube, str(again))
+        assert json.loads(again.read_text()) == json.loads(path.read_text())
+        assert main(["sample", "--in", str(path)]) == 0
+
+    @pytest.mark.parametrize("pieces", [MAX_DEPTH + 1, 980, 3000])
+    def test_deeper_files_exit_2_without_a_traceback(self, pieces, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(_chain_text(pieces))
+        with pytest.raises(CubeFileError, match="nested too deeply"):
+            load_cube(str(path))
+        assert main(["sample", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_deep_dict_is_a_cubefile_error(self):
+        data = {"kind": "primitive", "dim": 1, "shape": [1.0], "expr": ["1"]}
+        data["target"] = {"kind": "euclidean", "dim": 1}
+        for _ in range(979):
+            data = {"kind": "compose", "direction": 1, "left": data, "right": data}
+        with pytest.raises(CubeFileError, match="nested too deeply"):
+            cube_from_dict({"format": FORMAT, "provenance": data})
+
+    def test_long_chain_cannot_be_saved(self, tmp_path):
+        piece = cube_from_exprs(1, Shape((0.5,)), Euclidean(1), ["2"])
+        chain = piece
+        for _ in range(1599):
+            chain = compose_strict(chain, piece, 1)
+        with pytest.raises(CubeFileError, match="nested too deeply"):
+            cube_to_dict(chain)
+        path = tmp_path / "long.json"
+        with pytest.raises(CubeFileError, match="nested too deeply"):
+            save_cube(chain, str(path))
+        assert not path.exists()
