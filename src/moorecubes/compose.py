@@ -28,48 +28,38 @@ def _precheck(a: MooreCube, b: MooreCube, j: int) -> None:
         raise BadIndex(f"composition direction {j} out of range 1..{a.dim}")
 
 
+def _compose(
+    a: MooreCube, b: MooreCube, j: int, oracle: EqualityOracle | None, lenient: bool
+) -> MooreCube:
+    oracle = oracle or _DEFAULT_ORACLE
+    _precheck(a, b, j)
+    equals = oracle.equals_action if lenient else oracle.equals_strict
+    eq = equals(face(a, j, Sign.PLUS), face(b, j, Sign.MINUS))
+    if not eq:
+        if lenient:
+            what = f"face actions in direction {j} differ"
+        else:
+            what = f"faces in direction {j} differ ({eq.reason})"
+        raise CompositionUndefined(
+            eq.reason, j, f"{what}: {eq.detail or eq.witness}", witness=eq.witness
+        )
+    extents = [max(r, s) if lenient else r for r, s in zip(a.shape, b.shape)]
+    extents[j - 1] = a.shape[j - 1] + b.shape[j - 1]
+    return MooreCube(Shape(extents), a.space, ComposeNode(a, b, j, lenient))
+
+
 def compose_strict(
     a: MooreCube, b: MooreCube, j: int, oracle: EqualityOracle | None = None
 ) -> MooreCube:
     """Compose in direction j; the shared face must match shape and all."""
-    oracle = oracle or _DEFAULT_ORACLE
-    _precheck(a, b, j)
-    eq = oracle.equals_strict(face(a, j, Sign.PLUS), face(b, j, Sign.MINUS))
-    if not eq:
-        reason = "action" if eq.reason == "action" else "shape"
-        raise CompositionUndefined(
-            reason,
-            j,
-            f"faces in direction {j} differ ({eq.reason}): {eq.detail or eq.witness}",
-            witness=eq.witness,
-        )
-    k = j - 1
-    extents = tuple(
-        a.shape[i] + b.shape[i] if i == k else a.shape[i] for i in range(a.dim)
-    )
-    return MooreCube(Shape(extents), a.space, ComposeNode(a, b, j, False))
+    return _compose(a, b, j, oracle, lenient=False)
 
 
 def compose_lenient(
     a: MooreCube, b: MooreCube, j: int, oracle: EqualityOracle | None = None
 ) -> MooreCube:
     """Compose in direction j requiring only the face actions to agree."""
-    oracle = oracle or _DEFAULT_ORACLE
-    _precheck(a, b, j)
-    eq = oracle.equals_action(face(a, j, Sign.PLUS), face(b, j, Sign.MINUS))
-    if not eq:
-        raise CompositionUndefined(
-            "action",
-            j,
-            f"face actions in direction {j} differ: {eq.detail or eq.witness}",
-            witness=eq.witness,
-        )
-    k = j - 1
-    extents = tuple(
-        a.shape[i] + b.shape[i] if i == k else max(a.shape[i], b.shape[i])
-        for i in range(a.dim)
-    )
-    return MooreCube(Shape(extents), a.space, ComposeNode(a, b, j, True))
+    return _compose(a, b, j, oracle, lenient=True)
 
 
 _NOT_CUBES = "grid entries must be cubes (is the grid ragged?)"

@@ -388,6 +388,20 @@ def to_source(expr: Expr) -> str:
     return _render(expr, _LEVEL_ADD)
 
 
+def substitute(expr: Expr, index: int, value: Expr) -> Expr:
+    """expr with every occurrence of t<index> replaced by value."""
+    if isinstance(expr, Var):
+        return value if expr.index == index else expr
+    if isinstance(expr, Unary):
+        return Unary(expr.op, substitute(expr.operand, index, value), expr.span)
+    if isinstance(expr, Bin):
+        left, right = substitute(expr.left, index, value), substitute(expr.right, index, value)
+        return Bin(expr.op, left, right, expr.span)
+    if isinstance(expr, Call):
+        return Call(expr.fn, tuple(substitute(a, index, value) for a in expr.args), expr.span)
+    return expr
+
+
 # ---------------------------------------------------------------------------
 # compilation
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import Euclidean, MooreCube, Shape, Space, make_cube
+from .core import Euclidean, MooreCube, Primitive, Shape, Space
 from .errors import BadIndex
-from .expr import cube_from_exprs
-from .ops import Sign, face
+from .expr import Bin, Call, Expr, Num, Var, cube_from_exprs, parse_expr, substitute
 
 P_ZERO = 0.1  # chance that a random extent is zero, where zero extents are allowed
 P_TRIG = 0.25  # chance that a random coordinate expression is wrapped in sin
@@ -43,6 +42,17 @@ def _poly_source(rng: random.Random, dim: int, trig: bool) -> str:
     return source
 
 
+def _poly_sources(rng: random.Random, dim: int, count: int) -> list[str]:
+    return [_poly_source(rng, dim, trig=rng.random() < P_TRIG) for _ in range(count)]
+
+
+def _parsed(c: MooreCube) -> list[Expr]:
+    """The parsed expressions of a DSL primitive; TypeError for any other cube."""
+    if not isinstance(c.provenance, Primitive) or c.provenance.exprs is None:
+        raise TypeError("the cube must be a primitive built from DSL expressions")
+    return [parse_expr(e) for e in c.provenance.exprs]
+
+
 def gen_cube(
     rng: random.Random,
     dim: int,
@@ -60,11 +70,7 @@ def gen_cube(
             for _ in range(dim)
         )
         shape = Shape(extents)
-    exprs = [
-        _poly_source(rng, dim, trig=rng.random() < P_TRIG)
-        for _ in range(space.total_dim)
-    ]
-    return cube_from_exprs(dim, shape, space, exprs)
+    return cube_from_exprs(dim, shape, space, _poly_sources(rng, dim, space.total_dim))
 
 
 def extend_chain(
@@ -76,29 +82,21 @@ def extend_chain(
 ) -> MooreCube:
     """A random cube whose lower j-face equals prev's upper j-face exactly.
 
-    The result b is g(t) - g(t with t_j := 0) + (upper j-face of prev), for a
-    random g: the two g terms cancel exactly at t_j = 0, leaving the face.
+    prev must be a DSL primitive.  The result b is g - g[t_j := 0] +
+    prev[t_j := r_j], for a random polynomial g: the two g terms cancel
+    exactly at t_j = 0, leaving the face.
     """
     dim = prev.dim
     if not 1 <= j <= dim:
         raise BadIndex(f"direction {j} out of range for dimension {dim}")
+    seams = [substitute(p, j, Num(prev.shape[j - 1])) for p in _parsed(prev)]
     extents = list(prev.shape.extents)
     extents[j - 1] = (
         0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
     )
-    shape = Shape(tuple(extents))
-    g = gen_cube(rng, dim, space=prev.space, shape=shape)
-    upper = face(prev, j, Sign.PLUS)
-    k = j - 1
-
-    def evaluator(ts: tuple[float, ...]) -> tuple[float, ...]:
-        zeroed = ts[:k] + (0.0,) + ts[k + 1 :]
-        g_here = g.at(ts).coords
-        g_base = g.at(zeroed).coords
-        seam = upper.at(ts[:k] + ts[k + 1 :]).coords
-        return tuple(x - y + z for x, y, z in zip(g_here, g_base, seam))
-
-    return make_cube(dim, shape, prev.space, evaluator)
+    gs = map(parse_expr, _poly_sources(rng, dim, prev.space.total_dim))
+    exprs = [Bin("+", Bin("-", g, substitute(g, j, Num(0.0))), seam) for g, seam in zip(gs, seams)]
+    return cube_from_exprs(dim, extents, prev.space, exprs)
 
 
 def gen_composable_pair(
@@ -116,32 +114,26 @@ def gen_composable_pair(
 
 
 def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
-    """Split c across direction j at cut into restriction pieces.
+    """Split a DSL primitive c across direction j at cut into two DSL primitives.
 
-    Composing the pieces back in direction j recovers c (shape exactly,
-    values up to roundoff in the coordinate shift).
+    The right piece reads c at min(t_j + cut, r_j): the min is the clamp of
+    c.at, since (r_j - cut) + cut can round past r_j.  Composing the pieces
+    back in direction j recovers c's shape exactly, and past the cut it reads
+    c at (t_j - cut) + cut.
     """
     if not 1 <= j <= c.dim:
         raise BadIndex(f"direction {j} out of range for dimension {c.dim}")
     r = c.shape.extents[j - 1]
     if not 0.0 <= cut <= r:
         raise BadIndex(f"cut {cut} outside [0, {r}]")
-    k = j - 1
-
+    exprs = _parsed(c)
+    shifted = Call("min", (Bin("+", Var(j), Num(float(cut))), Num(r)))
     left_extents = list(c.shape.extents)
-    left_extents[k] = cut
+    left_extents[j - 1] = cut
     right_extents = list(c.shape.extents)
-    right_extents[k] = r - cut
-
-    def left_eval(ts: tuple[float, ...]) -> tuple[float, ...]:
-        return c.at(ts).coords
-
-    def right_eval(ts: tuple[float, ...]) -> tuple[float, ...]:
-        shifted = ts[:k] + (ts[k] + cut,) + ts[k + 1 :]
-        return c.at(shifted).coords
-
-    left = make_cube(c.dim, Shape(tuple(left_extents)), c.space, left_eval)
-    right = make_cube(c.dim, Shape(tuple(right_extents)), c.space, right_eval)
+    right_extents[j - 1] = r - cut
+    left = cube_from_exprs(c.dim, left_extents, c.space, exprs)
+    right = cube_from_exprs(c.dim, right_extents, c.space, [substitute(e, j, shifted) for e in exprs])
     return left, right
 
 

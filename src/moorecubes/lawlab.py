@@ -537,6 +537,8 @@ def _tensor_factors(rng, k):
 def _case_tensor_shape(rng, k, oracle):
     a, b = _tensor_factors(rng, k)
     built = tensor(a, b)
+    # The one opaque cube the lab builds: the pairing written out by hand is
+    # the reference that tensor's node rule is checked against.
     expected = make_cube(
         a.dim + b.dim,
         Shape(a.shape.extents + b.shape.extents),

@@ -24,7 +24,7 @@ from moorecubes import (
     multi_compose,
 )
 from moorecubes.expr import cube_from_exprs
-from moorecubes.generators import gen_composable_pair, gen_cube, quadrants, subdivide
+from moorecubes.generators import extend_chain, gen_composable_pair, gen_cube, quadrants, subdivide
 
 oracle = EqualityOracle()
 
@@ -239,6 +239,10 @@ class TestMultiComposeFolds:
 
 
 class TestSubdivide:
+    @pytest.fixture
+    def c_square(self):
+        return cube_from_exprs(1, (2.0,), Euclidean(1), ["t1^2"])
+
     def test_pieces_cover_the_original(self, c_square):
         left, right = subdivide(c_square, 1, 0.5)
         assert left.shape.extents == (0.5,)
@@ -255,6 +259,14 @@ class TestSubdivide:
     def test_cut_outside_the_extent_rejected(self, c_square):
         with pytest.raises(BadIndex):
             subdivide(c_square, 1, 2.5)
+
+    def test_cubes_that_are_not_dsl_primitives_are_rejected(self, c_square):
+        opaque = make_cube(1, (2.0,), Euclidean(1), lambda ts: (ts[0] ** 2,))
+        for cube in (opaque, degeneracy(face(c_square, 1, Sign.PLUS), 1)):
+            with pytest.raises(TypeError):
+                subdivide(cube, 1, 0.0)
+            with pytest.raises(TypeError):
+                extend_chain(random.Random(0), cube, 1)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=2))
