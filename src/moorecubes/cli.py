@@ -16,16 +16,7 @@ from typing import Sequence
 from .compose import compose_lenient, compose_strict
 from .core import EqualityOracle, MooreCube
 from .cubefile import cube_to_dict, load_cube, save_cube
-from .errors import (
-    BadIndex,
-    CompositionUndefined,
-    CubeFileError,
-    DimensionMismatch,
-    EvalError,
-    InvalidShape,
-    ParseError,
-    UnknownLaw,
-)
+from .errors import CompositionUndefined, CubeFileError, MooreError
 from .lawlab import LAW_IDS, LawReport, run_suite
 from .ops import Sign, connection, degeneracy, face, reverse
 from .svg import render_svg, save_svg
@@ -291,18 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         print(message, file=sys.stderr)
         return 3
-    except (
-        BadIndex,
-        CubeFileError,
-        DimensionMismatch,
-        EvalError,
-        InvalidShape,
-        ParseError,
-        UnknownLaw,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MooreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,6 +43,11 @@ FORMAT = "moore-cube/1"
 MAX_DEPTH = 500
 _TOO_DEEP = f"provenance nested too deeply (the limit is {MAX_DEPTH} levels)"
 
+# Deepest target space (spaces from the root to a Euclidean leaf) that files
+# may hold.  Comparing spaces recurses per level, at the bottom of a
+# provenance tree that may itself be MAX_DEPTH deep.
+MAX_SPACE_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # spaces
@@ -58,7 +63,11 @@ def space_to_json(space: Space) -> dict:
     }
 
 
-def space_from_json(data: Any) -> Space:
+def space_from_json(data: Any, depth: int = 1) -> Space:
+    if depth > MAX_SPACE_DEPTH:
+        raise CubeFileError(
+            f"target space nested too deeply (the limit is {MAX_SPACE_DEPTH} levels)"
+        )
     if not isinstance(data, dict) or "kind" not in data:
         raise CubeFileError(f"malformed target space: {data!r}")
     kind = data["kind"]
@@ -68,7 +77,8 @@ def space_from_json(data: Any) -> Space:
             raise CubeFileError(f"bad euclidean dimension: {dim!r}")
         return Euclidean(dim)
     if kind == "product":
-        return Product(space_from_json(data.get("left")), space_from_json(data.get("right")))
+        left, right = data.get("left"), data.get("right")
+        return Product(space_from_json(left, depth + 1), space_from_json(right, depth + 1))
     raise CubeFileError(f"unknown space kind {kind!r}")
 
 
@@ -178,7 +188,7 @@ def _shape_field(data: dict, kind: str, dim: int) -> Shape:
         raise CubeFileError(f"shape must be a list of {dim} extents, got {raw!r}")
     try:
         return Shape(tuple(float(r) for r in raw))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CubeFileError(f"bad shape {raw!r}: {exc}") from None
 
 

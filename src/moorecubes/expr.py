@@ -44,6 +44,15 @@ FUNCTIONS: dict[str, tuple[int, Callable]] = {
 _MATH_FAULTS = (OverflowError, ValueError)
 
 _ATOM_EXPECTED = ("number", "variable", "function", "'('", "'-'")
+_DIGITS = "0123456789"  # str.isdigit also accepts characters such as '²' and '١'
+
+# Deepest expression that parses: the height of its syntax tree, where each
+# number, variable, operator, function call and pair of parentheses is one
+# level.  Parsing, compiling and evaluating recurse once or a few times per
+# level, so this keeps them within Python's recursion limit, also for the
+# leaves of a cube file nested as deep as its own limit allows.
+MAX_DEPTH = 50
+_TOO_DEEP = f"expression nested too deeply (the limit is {MAX_DEPTH} levels)"
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +129,30 @@ def _lex(text: str) -> list[_Token]:
             advance(1)
             continue
         start = byte
-        if ch.isdigit():
+        if ch in _DIGITS:
             end = pos + 1
-            while end < n and text[end].isdigit():
+            while end < n and text[end] in _DIGITS:
                 end += 1
             if end < n and text[end] == ".":
-                if end + 1 >= n or not text[end + 1].isdigit():
+                if end + 1 >= n or text[end + 1] not in _DIGITS:
                     raise ParseError(
                         "digit must follow decimal point",
                         start + (end + 1 - pos),
                         ("digit",),
                     )
                 end += 1
-                while end < n and text[end].isdigit():
+                while end < n and text[end] in _DIGITS:
                     end += 1
             if end < n and text[end] in "eE":
                 mark = end + 1
                 if mark < n and text[mark] in "+-":
                     mark += 1
-                if mark >= n or not text[mark].isdigit():
+                if mark >= n or text[mark] not in _DIGITS:
                     raise ParseError(
                         "malformed exponent", start + (mark - pos), ("digit",)
                     )
                 end = mark
-                while end < n and text[end].isdigit():
+                while end < n and text[end] in _DIGITS:
                     end += 1
             word = text[pos:end]
             advance(end - pos)
@@ -175,9 +184,12 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent; each method returns a node and its height (see MAX_DEPTH)."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels open around the current token
 
     @property
     def cur(self) -> _Token:
@@ -191,54 +203,69 @@ class _Parser:
     def fail(self, message: str, expected: tuple[str, ...]) -> ParseError:
         return ParseError(message, self.cur.start, expected)
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def level(self, tok: _Token, height: int) -> int:
+        """height, checked for a node started at tok inside the open levels."""
+        if self.depth + height > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, tok.start)
+        return height
+
+    def enter(self, tok: _Token) -> None:
+        """Open a level at tok; its contents are parsed one level deeper."""
+        self.level(tok, 2)
+        self.depth += 1
+
+    def expr(self) -> tuple[Expr, int]:
+        node, height = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.take().text
-            right = self.term()
-            node = Bin(op, node, right, (node.span[0], right.span[1]))
-        return node
+            op = self.take()
+            right, right_height = self.term()
+            height = self.level(op, 1 + max(height, right_height))
+            node = Bin(op.text, node, right, (node.span[0], right.span[1]))
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, height = self.factor()
         while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.take().text
-            right = self.factor()
-            node = Bin(op, node, right, (node.span[0], right.span[1]))
-        return node
+            op = self.take()
+            right, right_height = self.factor()
+            height = self.level(op, 1 + max(height, right_height))
+            node = Bin(op.text, node, right, (node.span[0], right.span[1]))
+        return node, height
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         if self.cur.kind == "op" and self.cur.text == "-":
             tok = self.take()
-            operand = self.factor()
-            return Unary("-", operand, (tok.start, operand.span[1]))
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
+            self.enter(tok)
+            operand, height = self.factor()
+            self.depth -= 1
+            return Unary("-", operand, (tok.start, operand.span[1])), height + 1
+        # power = atom , [ "^" , factor ], parsed here to spare a frame per level
+        base, height = self.atom()
         if self.cur.kind == "op" and self.cur.text == "^":
-            self.take()
-            exponent = self.factor()
-            return Bin("^", base, exponent, (base.span[0], exponent.span[1]))
-        return base
+            op = self.take()
+            self.enter(op)
+            exponent, exponent_height = self.factor()
+            self.depth -= 1
+            height = self.level(op, 1 + max(height, exponent_height))
+            return Bin("^", base, exponent, (base.span[0], exponent.span[1])), height
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.cur
         if tok.kind == "num":
             self.take()
-            return Num(float(tok.text), (tok.start, tok.end))
+            value = float(tok.text)
+            if value == math.inf:
+                raise ParseError(f"number {tok.text} is too large", tok.start, ("number",))
+            return Num(value, (tok.start, tok.end)), 1
         if tok.kind == "ident":
             self.take()
             word = tok.text
             if word in FUNCTIONS:
                 return self.call(tok)
-            if (
-                len(word) >= 2
-                and word[0] == "t"
-                and word[1:].isdigit()
-                and word[1] != "0"
-            ):
-                return Var(int(word[1:]), (tok.start, tok.end))
+            digits = word[1:]
+            if word[0] == "t" and digits.isdigit() and digits.isascii() and digits[0] != "0":
+                return Var(int(digits), (tok.start, tok.end)), 1
             raise ParseError(
                 f"unknown identifier {word!r}",
                 tok.start,
@@ -246,18 +273,21 @@ class _Parser:
             )
         if tok.kind == "(":
             self.take()
-            node = self.expr()
+            self.enter(tok)
+            node, height = self.expr()
+            self.depth -= 1
             if self.cur.kind != ")":
                 raise self.fail("expected ')'", ("operator", "')'"))
             close = self.take()
-            return _respan(node, tok.start, close.end)
+            return _respan(node, tok.start, close.end), height + 1
         raise self.fail(f"expected an operand, found {tok.text or 'end of input'!r}", _ATOM_EXPECTED)
 
-    def call(self, name: _Token) -> Expr:
+    def call(self, name: _Token) -> tuple[Expr, int]:
         arity = FUNCTIONS[name.text][0]
         if self.cur.kind != "(":
             raise self.fail(f"{name.text} requires arguments", ("'('",))
         self.take()
+        self.enter(name)
         args = [self.expr()]
         while len(args) < arity:
             if self.cur.kind != ",":
@@ -266,12 +296,14 @@ class _Parser:
                 )
             self.take()
             args.append(self.expr())
+        self.depth -= 1
         if self.cur.kind == ",":
             raise self.fail(f"{name.text} takes {arity} arguments", ("')'",))
         if self.cur.kind != ")":
             raise self.fail("expected ')'", ("operator", "')'"))
         close = self.take()
-        return Call(name.text, tuple(args), (name.start, close.end))
+        nodes = tuple(node for node, _ in args)
+        return Call(name.text, nodes, (name.start, close.end)), 1 + max(h for _, h in args)
 
 
 def _respan(node: Expr, start: int, end: int) -> Expr:
@@ -282,8 +314,9 @@ def _respan(node: Expr, start: int, end: int) -> Expr:
 
 
 def parse_expr(text: str) -> Expr:
+    """Parse text; ParseError on a syntax error or past MAX_DEPTH levels."""
     parser = _Parser(_lex(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     if parser.cur.kind != "eof":
         raise parser.fail(
             f"unexpected {parser.cur.text!r} after expression",

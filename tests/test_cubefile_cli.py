@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moorecubes
 from moorecubes import (
@@ -29,7 +31,16 @@ from moorecubes import (
     tensor,
 )
 from moorecubes.cli import main
-from moorecubes.cubefile import FORMAT, MAX_DEPTH, CubeFileError, cube_from_dict, cube_to_dict
+from moorecubes.cubefile import (
+    FORMAT,
+    MAX_DEPTH,
+    MAX_SPACE_DEPTH,
+    CubeFileError,
+    cube_from_dict,
+    cube_to_dict,
+)
+from moorecubes.errors import MooreError
+from moorecubes.expr import MAX_DEPTH as EXPR_MAX_DEPTH
 from moorecubes.expr import cube_from_exprs
 
 oracle = EqualityOracle()
@@ -509,3 +520,112 @@ class TestDepthLimit:
         with pytest.raises(CubeFileError, match="nested too deeply"):
             save_cube(chain, str(path))
         assert not path.exists()
+
+
+def _deep_target(levels: int) -> dict:
+    """A target space levels deep: products of R^0 down to one R^1."""
+    target = {"kind": "euclidean", "dim": 1}
+    for _ in range(levels - 1):
+        target = {"kind": "product", "left": {"kind": "euclidean", "dim": 0}, "right": target}
+    return target
+
+
+def _chain(pieces: int, expr: str, target: dict) -> dict:
+    """A left-nested chain of equal 1-cube pieces reading expr, built without recursion."""
+    leaf = {"kind": "primitive", "dim": 1, "shape": [1.0], "target": target, "expr": [expr]}
+    node = leaf
+    for _ in range(pieces - 1):
+        node = {"kind": "compose", "direction": 1, "lenient": False, "left": node, "right": leaf}
+    return {"format": FORMAT, "dim": 1, "shape": [float(pieces)], "target": target, "provenance": node}
+
+
+class TestNestingLimits:
+    def test_deepest_chain_target_and_expression_load_and_sample(self, tmp_path, capsys):
+        n = EXPR_MAX_DEPTH - 1
+        doc = _chain(MAX_DEPTH, "sin(" * n + "0" + ")" * n, _deep_target(MAX_SPACE_DEPTH))
+        path = tmp_path / "deepest.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--in", str(path), "--grid", "2"]) == 0
+        assert capsys.readouterr().out.split() == ["t1,x1", "0,0", f"{MAX_DEPTH},0", f"{MAX_DEPTH + 1},0"]
+
+    @pytest.mark.parametrize("levels", [MAX_SPACE_DEPTH + 1, 350])
+    def test_deeper_targets_exit_2_without_a_traceback(self, levels, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(_chain(1, "1", _deep_target(levels))))
+        with pytest.raises(CubeFileError, match="nested too deeply"):
+            load_cube(str(path))
+        assert main(["sample", "--in", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "expr", ["t\u00b2", "(" * EXPR_MAX_DEPTH + "t1" + ")" * EXPR_MAX_DEPTH]
+    )
+    def test_bad_expressions_exit_2(self, expr, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_chain(1, expr, {"kind": "euclidean", "dim": 1})))
+        assert main(["sample", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_an_extent_too_large_for_a_float_is_a_cube_file_error(self):
+        doc = _chain(1, "1", {"kind": "euclidean", "dim": 1})
+        doc["provenance"]["shape"] = [10**400]
+        with pytest.raises(CubeFileError):
+            cube_from_dict(doc)
+
+
+_KEYS = ["format", "dim", "shape", "target", "expr", "provenance", "kind", "of", "left",
+         "right", "i", "sign", "direction", "lenient"]
+_TOKENS = ["t1", "t", "2", "0.5", "e", "\u00b2", "\u0661", "\u00e9", "+", "-", "*", "^", "(", ")",
+           ",", "sin", "min"]
+_TEXT = st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join)
+_NUMBER = st.integers() | st.floats() | st.sampled_from([0, -1, 2**63, 10**400])
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | _NUMBER
+    | _TEXT
+    | st.sampled_from([FORMAT, "+", "-", "primitive", "euclidean", "product", "compose", "face"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_VALID_DOCS = [json.dumps(cube_to_dict(c)) for c in _node_kind_cubes().values()]
+
+
+def _paths(value, path=()):
+    """The key path of value and of everything inside it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key in value if isinstance(value, dict) else range(len(value)):
+            yield from _paths(value[key], path + (key,))
+
+
+def _replacement(old):
+    """Any JSON value, or one of old's own type."""
+    if isinstance(old, str):
+        return _TEXT | _JSON
+    if isinstance(old, (int, float)) and not isinstance(old, bool):
+        return _NUMBER | _JSON
+    return _JSON
+
+
+class TestFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_document_gives_a_cube_or_a_moore_error(self, data):
+        if data.draw(st.booleans()):
+            doc = data.draw(_JSON)
+        else:
+            doc = json.loads(data.draw(st.sampled_from(_VALID_DOCS)))
+            path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+            owner = doc
+            for key in path[:-1]:
+                owner = owner[key]
+            if isinstance(owner, dict) and data.draw(st.booleans()):
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = data.draw(_replacement(owner[path[-1]]))
+        try:
+            cube_from_dict(doc)
+        except MooreError:
+            pass

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import DSL_PARSE_ERRORS, DSL_REGRESSION_VECTOR
 from moorecubes import DimensionMismatch, Euclidean, EvalError, ParseError, Shape
 from moorecubes.expr import (
+    MAX_DEPTH,
     Bin,
     Call,
     Num,
@@ -184,3 +185,52 @@ class TestCubeFromExprs:
     def test_rejects_variables_beyond_the_cube_dimension(self):
         with pytest.raises(EvalError):
             cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t2"])
+
+
+# Per construct: an expression n + 1 levels deep, and the byte offset of its
+# n-th operator, call or parenthesis, where MAX_DEPTH is crossed if n = MAX_DEPTH.
+NESTINGS = {
+    "parentheses": (lambda n: "(" * n + "t1" + ")" * n, lambda n: n - 1),
+    "unary minus": (lambda n: "-" * n + "t1", lambda n: n - 1),
+    "power": (lambda n: "^".join(["t1"] * (n + 1)), lambda n: 3 * n - 1),
+    "flat sum": (lambda n: " + ".join(["t1"] * (n + 1)), lambda n: 5 * n - 2),
+    "nested calls": (lambda n: "sin(" * n + "t1" + ")" * n, lambda n: 4 * (n - 1)),
+}
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("kind", sorted(NESTINGS))
+    def test_the_depth_limit_is_one_parse_error(self, kind):
+        source, offset = NESTINGS[kind]
+        cube = cube_from_exprs(1, Shape((0.5,)), Euclidean(1), [source(MAX_DEPTH - 1)])
+        assert math.isfinite(cube.at((0.25,)).coords[0])
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse_expr(source(MAX_DEPTH))
+        assert exc.value.offset == offset(MAX_DEPTH)
+
+    @pytest.mark.parametrize(
+        "source,offset",
+        [("t1 + \u00b2", 5), ("t\u00b2", 0), ("t1\u0663", 0), ("\u0661", 0), ("1e999", 0)],
+    )
+    def test_only_ascii_digits_and_finite_numbers_parse(self, source, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(source)
+        assert exc.value.offset == offset
+
+    @given(st.text(alphabet="t0123456789.e+-*/^(), \u00b2\u0661\u00e9"))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_parse_error(self, source):
+        try:
+            tree = parse_expr(source)
+        except ParseError:
+            return
+        env = (0.5, 1.5, 2.5)
+        try:
+            interpreted = eval_expr(tree, env)
+        except EvalError:
+            interpreted = None
+        try:
+            compiled = compile_expr(tree, len(env))(env)
+        except EvalError:
+            compiled = None
+        assert repr(compiled) == repr(interpreted)
