@@ -63,7 +63,11 @@ def space_to_json(space: Space) -> dict:
     }
 
 
-def space_from_json(data: Any, depth: int = 1) -> Space:
+def space_from_json(data: Any) -> Space:
+    return _space_from_json(data, 1)
+
+
+def _space_from_json(data: Any, depth: int) -> Space:
     if depth > MAX_SPACE_DEPTH:
         raise CubeFileError(
             f"target space nested too deeply (the limit is {MAX_SPACE_DEPTH} levels)"
@@ -78,7 +82,7 @@ def space_from_json(data: Any, depth: int = 1) -> Space:
         return Euclidean(dim)
     if kind == "product":
         left, right = data.get("left"), data.get("right")
-        return Product(space_from_json(left, depth + 1), space_from_json(right, depth + 1))
+        return Product(_space_from_json(left, depth + 1), _space_from_json(right, depth + 1))
     raise CubeFileError(f"unknown space kind {kind!r}")
 
 

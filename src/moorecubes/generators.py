@@ -82,9 +82,9 @@ def extend_chain(
 ) -> MooreCube:
     """A random cube whose lower j-face equals prev's upper j-face exactly.
 
-    prev must be a DSL primitive.  The result b is g - g[t_j := 0] +
-    prev[t_j := r_j], for a random polynomial g: the two g terms cancel
-    exactly at t_j = 0, leaving the face.
+    prev must be a DSL primitive (TypeError otherwise).  The result b is the
+    DSL primitive g - g[t_j := 0] + prev[t_j := r_j], for a random
+    polynomial g: the two g terms cancel exactly at t_j = 0, leaving the face.
     """
     dim = prev.dim
     if not 1 <= j <= dim:
@@ -114,12 +114,12 @@ def gen_composable_pair(
 
 
 def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
-    """Split a DSL primitive c across direction j at cut into two DSL primitives.
+    """Split a DSL primitive c (TypeError otherwise) at cut in direction j.
 
-    The right piece reads c at min(t_j + cut, r_j): the min is the clamp of
-    c.at, since (r_j - cut) + cut can round past r_j.  Composing the pieces
-    back in direction j recovers c's shape exactly, and past the cut it reads
-    c at (t_j - cut) + cut.
+    Both pieces are DSL primitives.  The right one reads c at
+    min(t_j + cut, r_j): the min is the clamp of c.at, since (r_j - cut) + cut
+    can round past r_j.  Composing the pieces back in direction j recovers
+    c's shape exactly, and past the cut it reads c at (t_j - cut) + cut.
     """
     if not 1 <= j <= c.dim:
         raise BadIndex(f"direction {j} out of range for dimension {c.dim}")

@@ -546,7 +546,8 @@ class TestNestingLimits:
         path = tmp_path / "deepest.json"
         path.write_text(json.dumps(doc))
         assert main(["sample", "--in", str(path), "--grid", "2"]) == 0
-        assert capsys.readouterr().out.split() == ["t1,x1", "0,0", f"{MAX_DEPTH},0", f"{MAX_DEPTH + 1},0"]
+        rows = capsys.readouterr().out.split()
+        assert rows == ["t1,x1", "0,0", f"{MAX_DEPTH},0", f"{MAX_DEPTH + 1},0"]
 
     @pytest.mark.parametrize("levels", [MAX_SPACE_DEPTH + 1, 350])
     def test_deeper_targets_exit_2_without_a_traceback(self, levels, tmp_path, capsys):
@@ -573,10 +574,15 @@ class TestNestingLimits:
             cube_from_dict(doc)
 
 
-_KEYS = ["format", "dim", "shape", "target", "expr", "provenance", "kind", "of", "left",
-         "right", "i", "sign", "direction", "lenient"]
-_TOKENS = ["t1", "t", "2", "0.5", "e", "\u00b2", "\u0661", "\u00e9", "+", "-", "*", "^", "(", ")",
-           ",", "sin", "min"]
+# Fuzzing vocabulary: file keys, and DSL tokens including non-ASCII digits.
+_KEYS = [
+    "format", "dim", "shape", "target", "expr", "provenance", "kind",
+    "of", "left", "right", "i", "sign", "direction", "lenient",
+]
+_TOKENS = [
+    "t1", "t", "2", "0.5", "e", "\u00b2", "\u0661", "\u00e9",
+    "+", "-", "*", "^", "(", ")", ",", "sin", "min",
+]
 _TEXT = st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join)
 _NUMBER = st.integers() | st.floats() | st.sampled_from([0, -1, 2**63, 10**400])
 _JSON = st.recursive(
