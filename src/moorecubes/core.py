@@ -115,6 +115,19 @@ class Point:
 # cube-file keys), and act(ts) evaluates it at a point of the cube's box.
 # MooreCube.at clamps once; every map below sends the box into its source's
 # box, so only composition clamps again, for pieces narrower than the whole.
+#
+# columns(cols, n) is the same action on n points at once: cols holds one
+# sequence of n values per coordinate, and the result one list per output
+# coordinate.  Each rule does the float operations of act in the same order,
+# so both give the same bits; the oracle scans grids this way.
+
+
+def _clamp_columns(cols, extents) -> list[list[float]]:
+    """MooreCube.clamp, column by column."""
+    return [
+        [0.0 if t < 0.0 else (r if t > r else float(t)) for t in col]
+        for col, r in zip(cols, extents)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +136,17 @@ class Primitive:
 
     exprs: tuple[str, ...] | None
     act: Callable[[tuple[float, ...]], Point] = field(compare=False, repr=False)
+    # Rows of the box -> one list of values per output coordinate; when None,
+    # columns calls act once per row.
+    batch: Callable[[list[tuple[float, ...]]], list[list[float]]] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def columns(self, cols, n):
+        rows = list(zip(*cols)) if cols else [()] * n
+        if self.batch is not None:
+            return self.batch(rows)
+        return list(zip(*[self.act(ts).coords for ts in rows]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +160,11 @@ class FaceNode:
         val = self.source.shape.extents[k] if self.sign == "+" else 0.0
         return self.source.provenance.act(ts[:k] + (val,) + ts[k:])
 
+    def columns(self, cols, n):
+        k = self.i - 1
+        val = self.source.shape.extents[k] if self.sign == "+" else 0.0
+        return self.source.provenance.columns(cols[:k] + [[val] * n] + cols[k:], n)
+
 
 @dataclass(frozen=True, slots=True)
 class DegeneracyNode:
@@ -145,6 +174,10 @@ class DegeneracyNode:
     def act(self, ts: tuple[float, ...]) -> Point:
         k = self.i - 1
         return self.source.provenance.act(ts[:k] + ts[k + 1 :])
+
+    def columns(self, cols, n):
+        k = self.i - 1
+        return self.source.provenance.columns(cols[:k] + cols[k + 1 :], n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +191,11 @@ class ConnectionNode:
         merge = min if self.sign == "+" else max
         return self.source.provenance.act(ts[:k] + (merge(ts[k], ts[k + 1]),) + ts[k + 2 :])
 
+    def columns(self, cols, n):
+        k = self.i - 1
+        merged = list(map(min if self.sign == "+" else max, cols[k], cols[k + 1]))
+        return self.source.provenance.columns(cols[:k] + [merged] + cols[k + 2 :], n)
+
 
 @dataclass(frozen=True, slots=True)
 class ReverseNode:
@@ -168,6 +206,13 @@ class ReverseNode:
         k = self.i - 1
         r = self.source.shape.extents[k]
         return self.source.provenance.act(ts[:k] + (r - ts[k],) + ts[k + 1 :])
+
+    def columns(self, cols, n):
+        k = self.i - 1
+        r = self.source.shape.extents[k]
+        return self.source.provenance.columns(
+            cols[:k] + [[r - t for t in cols[k]]] + cols[k + 1 :], n
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,6 +231,29 @@ class ComposeNode:
         b = self.right
         return b.provenance.act(b.clamp(ts[:k] + (ts[k] - cut,) + ts[k + 1 :]))
 
+    def columns(self, cols, n):
+        k = self.direction - 1
+        a, b = self.left, self.right
+        cut = a.shape.extents[k]
+        on_left = [t <= cut for t in cols[k]]  # the left piece wins at the seam
+        m = sum(on_left)
+        if m == n:
+            return a.provenance.columns(_clamp_columns(cols, a.shape.extents), n)
+        if m:
+            picked = [list(itertools.compress(col, on_left)) for col in cols]
+            left = a.provenance.columns(_clamp_columns(picked, a.shape.extents), m)
+            on_right = [not f for f in on_left]
+            cols = [list(itertools.compress(col, on_right)) for col in cols]
+        shifted = cols[:k] + [[t - cut for t in cols[k]]] + cols[k + 1 :]
+        right = b.provenance.columns(_clamp_columns(shifted, b.shape.extents), n - m)
+        if not m:
+            return right
+        merged = []
+        for x, y in zip(left, right):
+            x, y = iter(x).__next__, iter(y).__next__
+            merged.append([x() if f else y() for f in on_left])
+        return merged
+
 
 @dataclass(frozen=True, slots=True)
 class TensorNode:
@@ -198,6 +266,12 @@ class TensorNode:
         pb = self.right.provenance.act(ts[m:])
         return Point(pa.coords + pb.coords)
 
+    def columns(self, cols, n):
+        m = len(self.left.shape.extents)
+        return self.left.provenance.columns(cols[:m], n) + self.right.provenance.columns(
+            cols[m:], n
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class ReassociateNode:
@@ -206,6 +280,9 @@ class ReassociateNode:
 
     def act(self, ts: tuple[float, ...]) -> Point:
         return self.source.provenance.act(ts)
+
+    def columns(self, cols, n):
+        return self.source.provenance.columns(cols, n)
 
 
 Provenance = Union[
@@ -251,6 +328,17 @@ class MooreCube:
             )
         return self.provenance.act(self.clamp(ts))
 
+    def coords_at(self, points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
+        """at(t).coords for every t in points, evaluated node by node on columns.
+
+        The points must have dim coordinates each.  An evaluation fault may
+        come from a later point than the first one at which at would fail.
+        """
+        n = len(points)
+        cols = _clamp_columns(zip(*points), self.shape.extents)
+        out = self.provenance.columns(cols, n)
+        return list(zip(*out)) if out else [()] * n
+
     def action(self, ts: Sequence[float]) -> Point:
         """Evaluate at a point of the box, without clamping."""
         return self.provenance.act(ts)
@@ -282,11 +370,14 @@ def make_cube(
     space: Space,
     evaluator: Callable[[tuple[float, ...]], object],
     exprs: Sequence[str] | None = None,
+    batch: Callable[[list[tuple[float, ...]]], list[list[float]]] | None = None,
 ) -> MooreCube:
     """Build a cube from an evaluator defined on the clamped box.
 
     The evaluator may return a Point, a scalar (for 1-dimensional spaces),
-    or any float sequence of the right length.
+    or any float sequence of the right length.  batch, when given, must
+    give the evaluator's float coordinates for many points at once: one
+    list per coordinate, in the order of the points.
     """
     if not isinstance(shape, Shape):
         shape = Shape(tuple(shape))
@@ -297,7 +388,8 @@ def make_cube(
     def act(ts: tuple[float, ...]) -> Point:
         return _coerce_point(evaluator(ts), total)
 
-    return MooreCube(shape, space, Primitive(tuple(exprs) if exprs is not None else None, act))
+    exprs = tuple(exprs) if exprs is not None else None
+    return MooreCube(shape, space, Primitive(exprs, act, batch))
 
 
 def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCube:
@@ -310,6 +402,27 @@ def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCub
 # equality oracle
 
 BEYOND_MARGIN = 1.0
+
+# Grid points the oracle evaluates at once: more than any lab grid holds
+# (11^3 = 1,331 and 6^4 = 1,296), few enough to bound memory on large grids.
+SCAN_BLOCK = 2048
+
+
+def _rows_by_block(a: MooreCube, b: MooreCube, pts) -> Iterator[tuple]:
+    """(t, a.at(t).coords, b.at(t).coords) for each grid point t, in order.
+
+    Blocks of SCAN_BLOCK points are evaluated a side at a time on columns.
+    A block that raises there is evaluated again point by point, so a fault
+    raises the error, at the point, that evaluating a and then b at each
+    point in turn would.
+    """
+    pts = iter(pts)
+    while block := list(itertools.islice(pts, SCAN_BLOCK)):
+        try:
+            rows = zip(block, a.coords_at(block), b.coords_at(block))
+        except Exception:
+            rows = ((t, a.at(t).coords, b.at(t).coords) for t in block)
+        yield from rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -383,20 +496,22 @@ class EqualityOracle:
         )
 
     def _scan(self, a: MooreCube, b: MooreCube, pts) -> Equality:
+        if a.dim:
+            rows = _rows_by_block(a, b, pts)
+        else:  # the one point (), cheaper alone; clamping it changes nothing
+            rows = ((t, a.provenance.act(t).coords, b.provenance.act(t).coords) for t in pts)
+        distance = a.space.distance
         worst = -1.0
-        at = None
-        vals = None
-        for t in pts:
-            pa = a.at(t)
-            pb = b.at(t)
-            d = a.space.distance(pa.coords, pb.coords)
+        at = vals = None
+        for t, pa, pb in rows:
+            d = distance(pa, pb)
             if not d <= worst:  # farther, or NaN: the first NaN point is the witness
                 worst, at, vals = d, t, (pa, pb)
                 if d != d:
                     break
         if worst <= self.tol_val:
             return Equality(True, "equal")
-        witness = EqualityWitness(point=at, left=vals[0], right=vals[1], distance=worst)
+        witness = EqualityWitness(at, Point(vals[0]), Point(vals[1]), worst)
         return Equality(False, "action", witness)
 
     def equals_strict(self, a: MooreCube, b: MooreCube) -> Equality:

@@ -507,4 +507,7 @@ def cube_from_exprs(
     def evaluator(ts: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(fn(ts) for fn in fns)
 
-    return make_cube(dim, shape, space, evaluator, exprs=sources)
+    def batch(rows: list[tuple[float, ...]]) -> list[list[float]]:
+        return [list(map(fn, rows)) for fn in fns]
+
+    return make_cube(dim, shape, space, evaluator, exprs=sources, batch=batch)

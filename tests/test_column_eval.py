@@ -7,6 +7,7 @@ import pytest
 
 from moorecubes import (
     EqualityOracle,
+    EvalError,
     Euclidean,
     Product,
     Sign,
@@ -22,6 +23,7 @@ from moorecubes import (
     reverse,
     tensor,
 )
+from moorecubes import core
 from moorecubes.lawlab import LAW_IDS, build_case
 
 oracle = EqualityOracle()
@@ -30,7 +32,7 @@ E1 = Euclidean(1)
 
 def grid_values(cube, points):
     """The coordinates the oracle's scan reads for cube at each point."""
-    return [cube.at(p).coords for p in points]
+    return cube.coords_at(points)
 
 
 def assert_agrees(cube, points):
@@ -142,3 +144,95 @@ class TestCompose:
         c = compose_strict(row, top, 2)
         cube = reverse(connection(c, 1, Sign.MINUS), 2)
         assert_agrees(cube, probes(cube, [(1.0, 1.0, 1.0), (1.5, 0.2, 3.0)]))
+
+
+def point_scan(a, b, points):
+    """The oracle's rule with at, point by point: the farthest point, or the first NaN one."""
+    worst, found = -1.0, None
+    for t in points:
+        pa, pb = a.at(t).coords, b.at(t).coords
+        d = a.space.distance(pa, pb)
+        if not d <= worst:
+            worst, found = d, (t, pa, pb)
+            if d != d:
+                break
+    return repr(worst), repr(found)
+
+
+def oracle_scan(eq):
+    w = eq.witness
+    return repr(w.distance), repr((w.point, w.left.coords, w.right.coords))
+
+
+def first_error(fn):
+    with pytest.raises(EvalError) as info:
+        fn()
+    return str(info.value), info.value.span
+
+
+def point_error(a, b, points):
+    """The error that evaluating a and then b at each point in turn raises."""
+
+    def run():
+        for t in points:
+            a.at(t), b.at(t)
+
+    return first_error(run)
+
+
+class TestFaultsAndNaN:
+    def test_a_division_by_zero_is_the_same_error_from_at_oracle_and_compose(self):
+        c = square((2.0, 1.0), "t2 + 1/(t1 - 1)")
+        other = square((2.0, 1.0), "t2")
+        want = first_error(lambda: c.at((1.0, 0.0)))
+        assert want == ("division by zero", (5, 15))
+        assert first_error(lambda: oracle.equals_strict(c, other)) == want
+        assert first_error(lambda: oracle.equals_action(other, c)) == want
+        top = square((2.0, 1.0), "1 + 1/(t1 - 1)")
+        assert first_error(lambda: compose_strict(c, top, 2)) == want
+
+    def test_both_sides_fault_the_earlier_point_names_its_side(self):
+        a = square((2.0, 1.0), "t2 + 1/(t1 - 1.5)")
+        b = square((2.0, 1.0), "1/(t1 - 0.5)")
+        points = list(oracle.grid(a.shape))
+        want = point_error(a, b, points)
+        assert want == ("division by zero", (0, 12))  # b's fault, at t1 = 0.5
+        assert first_error(lambda: oracle.equals_strict(a, b)) == want
+        assert first_error(lambda: oracle.equals_strict(b, a)) == point_error(b, a, points)
+
+    def test_a_composite_side_faults_at_its_first_faulting_point(self):
+        # Both faces are 0.  The left piece faults at (1.5, 0.5), the right
+        # one at (0.5, 1 + 0.5), which comes first in the grid's order.
+        left = square((2.0, 1.0), "(t2 - 1)/((t1 - 1.5)^2 + (t2 - 0.5)^2)")
+        right = square((2.0, 1.0), "t2/((t1 - 0.5)^2 + (t2 - 0.5)^2)")
+        c = compose_strict(left, right, 2)
+        points = list(oracle.grid(c.shape))
+        want = point_error(c, c, points)
+        assert want == ("division by zero", (0, 32))
+        assert first_error(lambda: oracle.equals_strict(c, c)) == want
+        # Piece by piece, the left piece's fault is met first.
+        assert first_error(lambda: c.coords_at(points)) == ("division by zero", (0, 38))
+
+    def test_the_first_nan_point_is_the_witness(self):
+        a = square((2.0, 1.0), "t1*t2*1e308*10 - t1*t2*1e308*10")  # inf - inf off the axes
+        b = square((2.0, 1.0), "5*t1")
+        eq = oracle.equals_strict(a, b)
+        assert not eq and eq.witness.point == (0.5, 0.5) and math.isnan(eq.witness.distance)
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 2048])
+    def test_blocks_keep_the_witness_and_the_fault(self, block, monkeypatch):
+        monkeypatch.setattr(core, "SCAN_BLOCK", block)
+        big = EqualityOracle(samples_per_axis=7)
+        shape = (1.0, 2.0, 3.0, 0.5)  # 8^4 = 4,096 points
+        a = cube_from_exprs(4, shape, E1, ["t1*t2 - t3*t4 + t4^2"])
+        b = cube_from_exprs(4, shape, E1, ["t1*t2 - t3*t4 + t4*t4*(1 + t1/1e6)"])
+        eq = big.equals_strict(a, b)
+        assert oracle_scan(eq) == point_scan(a, b, big.grid(a.shape))
+        nan = cube_from_exprs(4, shape, E1, ["(t1 - 1)*(t3 - 3)*1e308*10 - (t1 - 1)*(t3 - 3)*1e308*10"])
+        eq = big.equals_strict(nan, a)
+        assert oracle_scan(eq) == point_scan(nan, a, big.grid(a.shape))
+        bad = cube_from_exprs(4, shape, E1, ["1/(t1 - 1) + 1/(t4 - 0.5)"])
+        assert first_error(lambda: big.equals_strict(a, bad)) == point_error(
+            a, bad, big.grid(a.shape)
+        )
