@@ -47,6 +47,7 @@ _TOO_DEEP = f"provenance nested too deeply (the limit is {MAX_DEPTH} levels)"
 # may hold.  Comparing spaces recurses per level, at the bottom of a
 # provenance tree that may itself be MAX_DEPTH deep.
 MAX_SPACE_DEPTH = 100
+_SPACE_TOO_DEEP = f"target space nested too deeply (the limit is {MAX_SPACE_DEPTH} levels)"
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +55,18 @@ MAX_SPACE_DEPTH = 100
 
 
 def space_to_json(space: Space) -> dict:
+    return _space_to_json(space, 1)
+
+
+def _space_to_json(space: Space, depth: int) -> dict:
+    if depth > MAX_SPACE_DEPTH:
+        raise CubeFileError(_SPACE_TOO_DEEP)
     if isinstance(space, Euclidean):
         return {"kind": "euclidean", "dim": space.dim}
     return {
         "kind": "product",
-        "left": space_to_json(space.left),
-        "right": space_to_json(space.right),
+        "left": _space_to_json(space.left, depth + 1),
+        "right": _space_to_json(space.right, depth + 1),
     }
 
 
@@ -69,9 +76,7 @@ def space_from_json(data: Any) -> Space:
 
 def _space_from_json(data: Any, depth: int) -> Space:
     if depth > MAX_SPACE_DEPTH:
-        raise CubeFileError(
-            f"target space nested too deeply (the limit is {MAX_SPACE_DEPTH} levels)"
-        )
+        raise CubeFileError(_SPACE_TOO_DEEP)
     if not isinstance(data, dict) or "kind" not in data:
         raise CubeFileError(f"malformed target space: {data!r}")
     kind = data["kind"]

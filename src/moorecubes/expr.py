@@ -391,34 +391,45 @@ def eval_expr(expr: Expr, env: Sequence[float] | Mapping[str, float]) -> float:
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
-def _render(expr: Expr, floor: int) -> str:
-    if isinstance(expr, Num):
-        return repr(expr.value)
+def _render(expr: Expr, floor: int) -> tuple[str, int]:
+    """Source text and the height parse_expr gives it (see MAX_DEPTH)."""
     if isinstance(expr, Var):
-        return expr.name
+        return expr.name, 1
     if isinstance(expr, Call):
-        inner = ", ".join(_render(a, _LEVEL_ADD) for a in expr.args)
-        return f"{expr.fn}({inner})"
-    if isinstance(expr, Unary):
-        text = "-" + _render(expr.operand, _LEVEL_UNARY)
+        args = [_render(a, _LEVEL_ADD) for a in expr.args]
+        inner = ", ".join(text for text, _ in args)
+        return f"{expr.fn}({inner})", 1 + max(height for _, height in args)
+    if isinstance(expr, Num):
+        text = repr(expr.value)
+        if text[0] != "-":
+            return text, 1
+        height, level = 1, _LEVEL_UNARY  # it reads back as a minus sign and a number
+    elif isinstance(expr, Unary):
+        text, height = _render(expr.operand, _LEVEL_UNARY)
+        text = "-" + text
         level = _LEVEL_UNARY
-    elif expr.op in "+-":
-        text = f"{_render(expr.left, _LEVEL_ADD)} {expr.op} {_render(expr.right, _LEVEL_MUL)}"
-        level = _LEVEL_ADD
-    elif expr.op in "*/":
-        text = f"{_render(expr.left, _LEVEL_MUL)}{expr.op}{_render(expr.right, _LEVEL_UNARY)}"
-        level = _LEVEL_MUL
-    else:  # ^ is right-associative
-        text = f"{_render(expr.left, _LEVEL_ATOM)}^{_render(expr.right, _LEVEL_UNARY)}"
-        level = _LEVEL_POW
+    else:
+        if expr.op in "+-":
+            floors, sep, level = (_LEVEL_ADD, _LEVEL_MUL), f" {expr.op} ", _LEVEL_ADD
+        elif expr.op in "*/":
+            floors, sep, level = (_LEVEL_MUL, _LEVEL_UNARY), expr.op, _LEVEL_MUL
+        else:  # ^ is right-associative
+            floors, sep, level = (_LEVEL_ATOM, _LEVEL_UNARY), "^", _LEVEL_POW
+        left, left_height = _render(expr.left, floors[0])
+        right, height = _render(expr.right, floors[1])
+        text = left + sep + right
+        height = max(left_height, height)
     if level < floor:
-        return f"({text})"
-    return text
+        return f"({text})", height + 2
+    return text, height + 1
 
 
 def to_source(expr: Expr) -> str:
-    """Render with minimal parentheses; reparsing gives an equal tree."""
-    return _render(expr, _LEVEL_ADD)
+    """Render with minimal parentheses; reparsing gives an equal tree.
+
+    A negative number reads back as a minus sign applied to a number.
+    """
+    return _render(expr, _LEVEL_ADD)[0]
 
 
 def substitute(expr: Expr, index: int, value: Expr) -> Expr:
@@ -491,7 +502,11 @@ def cube_from_exprs(
     space: Space,
     exprs: Sequence[str | Expr],
 ) -> MooreCube:
-    """Build a cube whose action components are DSL expressions."""
+    """Build a cube whose action components are DSL expressions.
+
+    An Expr is kept as its to_source text, so one that text would nest
+    deeper than MAX_DEPTH raises the ParseError that parsing the text does.
+    """
     if len(exprs) != space.total_dim:
         raise DimensionMismatch(
             f"{len(exprs)} expression(s) for a space of dimension {space.total_dim}"
@@ -499,8 +514,14 @@ def cube_from_exprs(
     sources: list[str] = []
     compiled: list[Callable[[Sequence[float]], float]] = []
     for e in exprs:
-        node = parse_expr(e) if isinstance(e, str) else e
-        sources.append(e if isinstance(e, str) else to_source(node))
+        if isinstance(e, str):
+            node, source = parse_expr(e), e
+        else:
+            node = e
+            source, height = _render(e, _LEVEL_ADD)
+            if height > MAX_DEPTH:
+                parse_expr(source)  # raises the ParseError that loading the source would
+        sources.append(source)
         compiled.append(compile_expr(node, dim))
     fns = tuple(compiled)
 

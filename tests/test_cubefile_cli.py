@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -39,9 +40,10 @@ from moorecubes.cubefile import (
     cube_from_dict,
     cube_to_dict,
 )
-from moorecubes.errors import MooreError
+from moorecubes.errors import MooreError, ParseError
 from moorecubes.expr import MAX_DEPTH as EXPR_MAX_DEPTH
-from moorecubes.expr import cube_from_exprs
+from moorecubes.expr import Bin, Num, Var, cube_from_exprs, parse_expr, substitute, to_source
+from moorecubes.generators import _parsed, extend_chain, gen_cube
 
 oracle = EqualityOracle()
 
@@ -635,3 +637,56 @@ class TestFuzz:
             cube_from_dict(doc)
         except MooreError:
             pass
+
+
+class TestBuiltCubesLoad:
+    def test_every_chained_cube_saves_and_loads_until_one_is_too_deep(self, tmp_path):
+        rng = random.Random(3)
+        prev = gen_cube(rng, 2)
+        path = tmp_path / "piece.json"
+        for k in range(1, 40):
+            try:
+                prev = extend_chain(rng, prev, 1 + k % 2)
+            except ParseError as exc:
+                assert "nested too deeply" in str(exc)
+                break
+            save_cube(prev, str(path))
+            back = load_cube(str(path))
+            assert back.at((0.5, 0.5)) == prev.at((0.5, 0.5))
+        else:
+            pytest.fail("the chain never grew too deep")
+        assert k == 22
+        # The error is the one parsing the rendered source gives.
+        (expr,) = _parsed(prev)
+        deeper = substitute(expr, 1, Bin("+", Var(1), expr))
+        with pytest.raises(ParseError) as built:
+            cube_from_exprs(2, prev.shape, prev.space, [deeper])
+        with pytest.raises(ParseError) as parsed:
+            parse_expr(to_source(deeper))
+        assert str(built.value) == str(parsed.value)
+
+    def test_a_negative_power_base_keeps_its_value(self):
+        expr = Bin("^", Num(-2.0), Num(2.0))
+        assert to_source(expr) == "(-2.0)^2.0"
+        cube = cube_from_dict(cube_to_dict(cube_from_exprs(0, (), Euclidean(1), [expr])))
+        assert cube.at(()).coords == (4.0,)
+
+    def test_a_tensor_tower_past_the_target_limit_is_not_saved(self, tmp_path, capsys):
+        factor = cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t1"])
+        tower = factor
+        for _ in range(MAX_SPACE_DEPTH - 1):
+            tower = tensor(tower, factor)  # one more level of target space each
+        tall = tmp_path / "tall.json"
+        save_cube(tower, str(tall))
+        assert load_cube(str(tall)).dim == MAX_SPACE_DEPTH
+        path = tmp_path / "taller.json"
+        with pytest.raises(CubeFileError, match="target space nested too deeply"):
+            cube_to_dict(tensor(tower, factor))
+        with pytest.raises(CubeFileError, match="target space nested too deeply"):
+            save_cube(tensor(tower, factor), str(path))
+        assert not path.exists()
+        _, line = line_file(tmp_path)
+        assert main(["tensor", "--a", str(tall), "--b", str(line), "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "target space nested too deeply" in err and "Traceback" not in err
+        assert not path.exists()
