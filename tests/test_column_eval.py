@@ -30,15 +30,11 @@ oracle = EqualityOracle()
 E1 = Euclidean(1)
 
 
-def grid_values(cube, points):
-    """The coordinates the oracle's scan reads for cube at each point."""
-    return cube.coords_at(points)
-
-
 def assert_agrees(cube, points):
+    """coords_at, which the oracle's scan uses, reads what at reads."""
     points = [tuple(p) for p in points]
     want = [repr(cube.at(p).coords) for p in points]  # repr: NaN-aware, sign of zero kept
-    assert [repr(v) for v in grid_values(cube, points)] == want
+    assert [repr(v) for v in cube.coords_at(points)] == want
 
 
 @pytest.mark.parametrize("law_id", LAW_IDS)
@@ -111,7 +107,7 @@ class TestNodes:
 class TestCompose:
     def test_rows_at_and_beside_the_seam(self):
         left = square((1.0, 1.0), "t1 + t2")
-        right = square((2.0, 1.0), "1 + t1^2 + t2")
+        right = square((2.0, 1.0), "1 + t1^2 + t2 + 1e-12")  # which piece reads the seam shows
         c = compose_strict(left, right, 1)
         seam = [
             (1.0, 0.5),
@@ -229,10 +225,14 @@ class TestFaultsAndNaN:
         b = cube_from_exprs(4, shape, E1, ["t1*t2 - t3*t4 + t4*t4*(1 + t1/1e6)"])
         eq = big.equals_strict(a, b)
         assert oracle_scan(eq) == point_scan(a, b, big.grid(a.shape))
-        nan = cube_from_exprs(4, shape, E1, ["(t1 - 1)*(t3 - 3)*1e308*10 - (t1 - 1)*(t3 - 3)*1e308*10"])
+        # NaN (inf - inf) only at t1 = 1 and its probe, a fault only at
+        # t1 = 1, t4 = 0.5: both past the first 2,048 points.
+        inf = "max(t1 - 0.9, 0)*1e308*100"
+        nan = cube_from_exprs(4, shape, E1, [f"{inf} - {inf} + t3"])
         eq = big.equals_strict(nan, a)
+        assert math.isnan(eq.witness.distance) and eq.witness.point[0] == 1.0
         assert oracle_scan(eq) == point_scan(nan, a, big.grid(a.shape))
-        bad = cube_from_exprs(4, shape, E1, ["1/(t1 - 1) + 1/(t4 - 0.5)"])
+        bad = cube_from_exprs(4, shape, E1, ["1/((t1 - 1)^2 + (t4 - 0.5)^2)"])
         assert first_error(lambda: big.equals_strict(a, bad)) == point_error(
             a, bad, big.grid(a.shape)
         )

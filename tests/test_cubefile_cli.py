@@ -43,7 +43,7 @@ from moorecubes.cubefile import (
 from moorecubes.errors import MooreError, ParseError
 from moorecubes.expr import MAX_DEPTH as EXPR_MAX_DEPTH
 from moorecubes.expr import Bin, Num, Var, cube_from_exprs, parse_expr, substitute, to_source
-from moorecubes.generators import _parsed, extend_chain, gen_cube
+from moorecubes.generators import extend_chain, gen_cube
 
 oracle = EqualityOracle()
 
@@ -657,7 +657,7 @@ class TestBuiltCubesLoad:
             pytest.fail("the chain never grew too deep")
         assert k == 22
         # The error is the one parsing the rendered source gives.
-        (expr,) = _parsed(prev)
+        expr = parse_expr(prev.provenance.exprs[0])
         deeper = substitute(expr, 1, Bin("+", Var(1), expr))
         with pytest.raises(ParseError) as built:
             cube_from_exprs(2, prev.shape, prev.space, [deeper])
