@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DSL_PARSE_ERRORS, DSL_REGRESSION_VECTOR
-from moorecubes import DimensionMismatch, Euclidean, EvalError, ParseError, Shape
+from moorecubes import (
+    DimensionMismatch,
+    EqualityOracle,
+    Euclidean,
+    EvalError,
+    ParseError,
+    Shape,
+    compose_strict,
+)
 from moorecubes.expr import (
     MAX_DEPTH,
     Bin,
@@ -153,6 +161,85 @@ class TestArithmeticFaults:
         assert cube.at((0.0,)).coords == (1.0,)
         with pytest.raises(EvalError):
             cube.at((1.0,))
+
+
+class TestFaultMessages:
+    """The EvalError of a faulting leaf, from every path that evaluates one.
+
+    Each cube is 2-d with shape (1, 1) and reads only t1; the probe is a
+    point where it faults.  The oracle's grid (and the face grid that
+    compose_strict checks) meets exp(1000*t1) first at t1 = 0.75.
+    """
+
+    oracle = EqualityOracle()
+    # source, probe, message at the probe, message on the grid, span in the source
+    CASES = [
+        ("1/t1", (0.0, 0.5), "division by zero", "division by zero", (0, 4)),
+        ("10^400*t1", (0.5, 0.5), "10.0^400.0 overflows", "10.0^400.0 overflows", (0, 6)),
+        (
+            "(0-8)^(1/3)",
+            (0.5, 0.5),
+            "fractional power of a negative base",
+            "fractional power of a negative base",
+            (0, 11),
+        ),
+        ("0^(0-1)", (0.5, 0.5), "zero raised to a negative power", "zero raised to a negative power", (0, 7)),
+        (
+            "exp(1000*t1)",
+            (1.0, 0.5),
+            "exp(1000.0) has no finite value",
+            "exp(750.0) has no finite value",
+            (0, 12),
+        ),
+    ]
+    # The span of the same fault in a cube built from the parsed tree.
+    EXPR_SPANS = {
+        "1/t1": (0, 4),
+        "10^400*t1": (0, 6),
+        "(0-8)^(1/3)": (0, 11),
+        "0^(0-1)": (0, 7),
+        "exp(1000*t1)": (0, 12),
+    }
+
+    @staticmethod
+    def error(fn):
+        with pytest.raises(EvalError) as info:
+            fn()
+        return str(info.value), info.value.span
+
+    @pytest.mark.parametrize("source,probe,at_message,grid_message,span", CASES)
+    @pytest.mark.parametrize("built", ["text", "expr"])
+    def test_every_path_raises_the_same_error(self, source, probe, at_message, grid_message, span, built):
+        if built == "expr":
+            span = self.EXPR_SPANS[source]
+            leaf = parse_expr(source)
+        else:
+            leaf = source
+        c = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), [leaf])
+        points = list(self.oracle.grid(c.shape))
+        assert self.error(lambda: c.at(probe)) == (at_message, span)
+        assert self.error(lambda: c.coords_at(points)) == (grid_message, span)
+        assert self.error(lambda: self.oracle.equals_strict(c, c)) == (grid_message, span)
+        assert self.error(lambda: compose_strict(c, c, 2)) == (grid_message, span)
+
+
+@pytest.mark.parametrize(
+    "source,message,offset",
+    [
+        ("1.x", "digit must follow decimal point", 2),
+        ("2ex", "malformed exponent", 2),
+        ("1e+", "malformed exponent", 3),
+        ("t1 $", "unexpected character '$'", 3),
+        ("\u00e9 + t1", "unknown identifier '\u00e9'", 0),
+        ("t1 + \u00b2", "unexpected character '\u00b2'", 5),
+        ("\u00e9 + $", "unexpected character '$'", 5),  # \u00e9 is two bytes
+    ],
+)
+def test_lexer_errors_keep_their_message_and_byte_offset(source, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(source)
+    assert str(exc.value) == f"{message} (offset {offset})"
+    assert exc.value.offset == offset
 
 
 class TestPrinting:
