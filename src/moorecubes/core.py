@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -67,6 +68,18 @@ class Euclidean:
     def distance(self, p: Sequence[float], q: Sequence[float]) -> float:
         return math.dist(p, q)
 
+    def distances(self, p: Sequence[Sequence[float]], q: Sequence[Sequence[float]], n: int) -> list[float]:
+        """distance of n pairs of points given as coordinate columns.
+
+        math.dist and math.hypot share one algorithm, so the bits are
+        distance's; in 1-d both return the absolute difference.
+        """
+        if self.dim == 1:
+            return [abs(x - y) for x, y in zip(p[0], q[0])]
+        if not self.dim:
+            return [0.0] * n
+        return list(map(math.hypot, *(map(operator.sub, x, y) for x, y in zip(p, q))))
+
 
 @dataclass(frozen=True, slots=True)
 class Product:
@@ -86,6 +99,12 @@ class Product:
         k = self.left.total_dim
         dl, dr = self.left.distance(p[:k], q[:k]), self.right.distance(p[k:], q[k:])
         return max(dl, dr) if dl == dl and dr == dr else math.nan
+
+    def distances(self, p: Sequence[Sequence[float]], q: Sequence[Sequence[float]], n: int) -> list[float]:
+        """distance of n pairs of points given as coordinate columns."""
+        k = self.left.total_dim
+        dls, drs = self.left.distances(p[:k], q[:k], n), self.right.distances(p[k:], q[k:], n)
+        return [max(dl, dr) if dl == dl and dr == dr else math.nan for dl, dr in zip(dls, drs)]
 
 
 Space = Union[Euclidean, Product]
@@ -335,8 +354,7 @@ class MooreCube:
         come from a later point than the first one at which at would fail.
         """
         n = len(points)
-        cols = _clamp_columns(zip(*points), self.shape.extents)
-        out = self.provenance.columns(cols, n)
+        out = _columns_at(self, list(zip(*points)), n)
         return list(zip(*out)) if out else [()] * n
 
     def action(self, ts: Sequence[float]) -> Point:
@@ -348,6 +366,11 @@ class MooreCube:
 
     def __repr__(self) -> str:
         return f"MooreCube(dim={self.dim}, shape={self.shape.extents}, space={self.space})"
+
+
+def _columns_at(cube: MooreCube, cols, n: int) -> list[list[float]]:
+    """The coordinate columns of cube.at on n points given as columns."""
+    return cube.provenance.columns(_clamp_columns(cols, cube.shape.extents), n)
 
 
 def _coerce_point(value, total_dim: int) -> Point:
@@ -408,8 +431,8 @@ BEYOND_MARGIN = 1.0
 SCAN_BLOCK = 2048
 
 
-def _rows_by_block(a: MooreCube, b: MooreCube, pts) -> Iterator[tuple]:
-    """(t, a.at(t).coords, b.at(t).coords) for each grid point t, in order.
+def _blocks(a: MooreCube, b: MooreCube, pts) -> Iterator[tuple]:
+    """(block, a's columns, b's columns) for each block of grid points, in order.
 
     Blocks of SCAN_BLOCK points are evaluated a side at a time on columns.
     A block that raises there is evaluated again point by point, so a fault
@@ -418,11 +441,15 @@ def _rows_by_block(a: MooreCube, b: MooreCube, pts) -> Iterator[tuple]:
     """
     pts = iter(pts)
     while block := list(itertools.islice(pts, SCAN_BLOCK)):
+        n, cols = len(block), list(zip(*block))
         try:
-            rows = zip(block, a.coords_at(block), b.coords_at(block))
+            sides = _columns_at(a, cols, n), _columns_at(b, cols, n)
         except Exception:
-            rows = ((t, a.at(t).coords, b.at(t).coords) for t in block)
-        yield from rows
+            # One block per point, made lazily, as the scan stops at a NaN.
+            for t in block:
+                yield [t], [[x] for x in a.at(t).coords], [[x] for x in b.at(t).coords]
+        else:
+            yield block, *sides
 
 
 @dataclass(frozen=True, slots=True)
@@ -497,22 +524,29 @@ class EqualityOracle:
 
     def _scan(self, a: MooreCube, b: MooreCube, pts) -> Equality:
         if a.dim:
-            rows = _rows_by_block(a, b, pts)
-        else:  # the one point (), cheaper alone; clamping it changes nothing
-            rows = ((t, a.provenance.act(t).coords, b.provenance.act(t).coords) for t in pts)
-        distance = a.space.distance
-        worst = -1.0
-        at = vals = None
-        for t, pa, pb in rows:
-            d = distance(pa, pb)
-            if not d <= worst:  # farther, or NaN: the first NaN point is the witness
-                worst, at, vals = d, t, (pa, pb)
-                if d != d:
+            distances = a.space.distances
+            worst = -1.0
+            for block, pa, pb in _blocks(a, b, pts):
+                ds = distances(pa, pb, len(block))
+                total = sum(ds)
+                if total != total:  # a NaN: the first NaN point is the witness
+                    k = next(k for k, d in enumerate(ds) if d != d)
+                else:
+                    k = ds.index(max(ds))  # the block's first farthest point
+                    if not ds[k] > worst:
+                        continue
+                worst = ds[k]
+                found = block[k], tuple(col[k] for col in pa), tuple(col[k] for col in pb)
+                if worst != worst:
                     break
+        else:  # the one point (), cheaper alone; clamping it changes nothing
+            (t,) = pts
+            found = t, a.provenance.act(t).coords, b.provenance.act(t).coords
+            worst = a.space.distance(found[1], found[2])
         if worst <= self.tol_val:
             return Equality(True, "equal")
-        witness = EqualityWitness(at, Point(vals[0]), Point(vals[1]), worst)
-        return Equality(False, "action", witness)
+        t, pa, pb = found
+        return Equality(False, "action", EqualityWitness(t, Point(pa), Point(pb), worst))
 
     def equals_strict(self, a: MooreCube, b: MooreCube) -> Equality:
         """Same dim, space, shape (within tol_shape), and values on a's grid."""

@@ -116,7 +116,8 @@ def gen_composable_pair(
 def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
     """Split a DSL primitive c (TypeError otherwise) at cut in direction j.
 
-    Both pieces are DSL primitives.  The right one reads c at
+    Both pieces are DSL primitives.  The left one is c's own leaf on the
+    smaller box, since c.at clamps t_j to cut <= r_j there.  The right one reads c at
     min(t_j + cut, r_j): the min is the clamp of c.at, since (r_j - cut) + cut
     can round past r_j.  Composing the pieces back in direction j recovers
     c's shape exactly, and past the cut it reads c at (t_j - cut) + cut.
@@ -132,7 +133,7 @@ def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
     left_extents[j - 1] = cut
     right_extents = list(c.shape.extents)
     right_extents[j - 1] = r - cut
-    left = cube_from_exprs(c.dim, left_extents, c.space, exprs)
+    left = MooreCube(Shape(left_extents), c.space, c.provenance)
     right = cube_from_exprs(c.dim, right_extents, c.space, [substitute(e, j, shifted) for e in exprs])
     return left, right
 

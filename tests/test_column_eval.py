@@ -216,6 +216,23 @@ class TestFaultsAndNaN:
         assert not eq and eq.witness.point == (0.5, 0.5) and math.isnan(eq.witness.distance)
         assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
 
+    def test_a_nan_point_before_a_fault_is_the_witness(self):
+        nan = "t1*t2*1e308*10 - t1*t2*1e308*10"  # NaN from (0.5, 0.5) on
+        a = square((2.0, 1.0), f"{nan} + 1/(t1 - 2)")  # a fault from (2, 0) on
+        b = square((2.0, 1.0), "5*t1")
+        eq = oracle.equals_strict(a, b)
+        assert not eq and eq.witness.point == (0.5, 0.5) and math.isnan(eq.witness.distance)
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 2048])
+    def test_tied_maxima_name_the_first_farthest_point(self, block, monkeypatch):
+        monkeypatch.setattr(core, "SCAN_BLOCK", block)
+        a = square((2.0, 1.0), "min(t1, 1)*min(t2, 0.5)")  # 0.5 from t1 >= 1, t2 >= 0.5 on
+        b = square((2.0, 1.0), "0")
+        eq = oracle.equals_strict(a, b)
+        assert eq.witness.point == (1.0, 0.5) and eq.witness.distance == 0.5
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
     @pytest.mark.parametrize("block", [1, 2, 7, 2048])
     def test_blocks_keep_the_witness_and_the_fault(self, block, monkeypatch):
         monkeypatch.setattr(core, "SCAN_BLOCK", block)

@@ -60,6 +60,34 @@ class TestSpaces:
         assert p.distance((0.0, 0.0, 0.0), (3.0, 4.0, 2.0)) == 5.0
         assert p.distance((0.0, 0.0, 0.0), (0.0, 1.0, 7.0)) == 7.0
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_distances_on_columns_are_the_distance_of_each_point(self, data):
+        coord = st.one_of(
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        space = data.draw(
+            st.sampled_from(
+                [
+                    Euclidean(0),
+                    Euclidean(1),
+                    Euclidean(2),
+                    Euclidean(3),
+                    Product(Euclidean(1), Euclidean(1)),
+                    Product(Euclidean(0), Euclidean(2)),
+                    Product(Euclidean(2), Product(Euclidean(1), Euclidean(0))),
+                ]
+            )
+        )
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        point = st.tuples(*[coord] * space.total_dim)
+        ps = data.draw(st.lists(point, min_size=n, max_size=n))
+        qs = data.draw(st.lists(point, min_size=n, max_size=n))
+        columns = [list(zip(*ps)), list(zip(*qs))]
+        want = [repr(space.distance(p, q)) for p, q in zip(ps, qs)]
+        assert [repr(d) for d in space.distances(*columns, n)] == want
+
     def test_nested_product(self):
         p = Product(Euclidean(1), Product(Euclidean(1), Euclidean(1)))
         assert p.total_dim == 3

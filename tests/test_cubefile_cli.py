@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -670,6 +671,21 @@ class TestBuiltCubesLoad:
         assert to_source(expr) == "(-2.0)^2.0"
         cube = cube_from_dict(cube_to_dict(cube_from_exprs(0, (), Euclidean(1), [expr])))
         assert cube.at(()).coords == (4.0,)
+
+    @pytest.mark.parametrize("value,name", [(math.inf, "inf"), (-math.inf, "inf"), (math.nan, "nan")])
+    def test_a_number_that_is_not_finite_is_the_parse_error_of_its_text(self, value, name, tmp_path):
+        tree = Bin("+", Var(1), Num(value))
+        path = tmp_path / "leaf.json"
+        with pytest.raises(ParseError) as built:
+            cube = cube_from_exprs(1, (1.0,), Euclidean(1), [tree])
+            cube.at((0.5,))
+            save_cube(cube, str(path))
+            load_cube(str(path))
+        with pytest.raises(ParseError) as parsed:
+            parse_expr(to_source(tree))
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith(f"unknown identifier '{name}'")
+        assert not path.exists()
 
     def test_a_tensor_tower_past_the_target_limit_is_not_saved(self, tmp_path, capsys):
         factor = cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t1"])

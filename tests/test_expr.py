@@ -18,6 +18,7 @@ from moorecubes import (
     compose_strict,
 )
 from moorecubes.expr import (
+    FUNCTIONS,
     MAX_DEPTH,
     Bin,
     Call,
@@ -192,13 +193,14 @@ class TestFaultMessages:
             (0, 12),
         ),
     ]
-    # The span of the same fault in a cube built from the parsed tree.
+    # A cube built from the parsed tree keeps its to_source text, and the
+    # span of the same fault points into that text.
     EXPR_SPANS = {
-        "1/t1": (0, 4),
-        "10^400*t1": (0, 6),
-        "(0-8)^(1/3)": (0, 11),
-        "0^(0-1)": (0, 7),
-        "exp(1000*t1)": (0, 12),
+        "1/t1": (0, 6),  # 1.0/t1
+        "10^400*t1": (0, 10),  # 10.0^400.0*t1
+        "(0-8)^(1/3)": (0, 21),  # (0.0 - 8.0)^(1.0/3.0)
+        "0^(0-1)": (0, 15),  # 0.0^(0.0 - 1.0)
+        "exp(1000*t1)": (0, 14),  # exp(1000.0*t1)
     }
 
     @staticmethod
@@ -216,6 +218,7 @@ class TestFaultMessages:
         else:
             leaf = source
         c = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), [leaf])
+        assert c.provenance.exprs == ((source if built == "text" else to_source(leaf)),)
         points = list(self.oracle.grid(c.shape))
         assert self.error(lambda: c.at(probe)) == (at_message, span)
         assert self.error(lambda: c.coords_at(points)) == (grid_message, span)
@@ -240,6 +243,51 @@ def test_lexer_errors_keep_their_message_and_byte_offset(source, message, offset
         parse_expr(source)
     assert str(exc.value) == f"{message} (offset {offset})"
     assert exc.value.offset == offset
+
+
+# Numbers that exercise math.pow against **: zero and negative bases,
+# integral and fractional exponents, and magnitudes that overflow.
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0, 1 / 3, 400.0, 1e300, -1e300]),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+_LEAVES = st.one_of(_NUMBERS.map(Num), st.integers(min_value=1, max_value=3).map(Var))
+
+
+def _calls(children):
+    return st.sampled_from(sorted(FUNCTIONS)).flatmap(
+        lambda fn: st.tuples(*[children] * FUNCTIONS[fn][0]).map(lambda args: Call(fn, args))
+    )
+
+
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(Bin, st.just("^"), children, st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, 1 / 3]).map(Num)),
+        children.map(lambda e: Unary("-", e)),
+        _calls(children),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_TREES, st.tuples(_NUMBERS, _NUMBERS, _NUMBERS))
+@settings(max_examples=1000, deadline=None)
+def test_compiled_code_matches_the_interpreter_on_random_trees(tree, env):
+    """Same value by repr, or the same EvalError message and span.
+
+    The tree is read back from its text, so its spans are real ones.
+    """
+    tree = parse_expr(to_source(tree))
+
+    def run(fn):
+        try:
+            return repr(fn())
+        except EvalError as exc:
+            return str(exc), exc.span
+
+    assert run(lambda: compile_expr(tree, 3)(env)) == run(lambda: eval_expr(tree, env))
 
 
 class TestPrinting:

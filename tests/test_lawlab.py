@@ -23,6 +23,30 @@ oracle = EqualityOracle()
 FAST = dict(n_instances=6, seed=42, oracle=oracle)
 
 
+def test_verdicts_and_counts_do_not_depend_on_the_grid():
+    """run_suite(20, 42) at grids 3, 5 and 9 gives every law the same row.
+
+    The row is the verdict and the four counts.  A witness is a grid point,
+    so a finer grid may find a farther one.
+    """
+
+    def rows(samples):
+        report = run_suite(n_instances=20, seed=42, oracle=EqualityOracle(samples_per_axis=samples))
+        return [
+            (
+                o.law_id,
+                o.classification,
+                o.count_strict,
+                o.count_action_only,
+                o.count_failed,
+                o.count_not_constructible,
+            )
+            for o in report.outcomes
+        ]
+
+    assert rows(3) == rows(5) == rows(9)
+
+
 class TestRegistry:
     def test_thirty_laws_are_registered(self):
         assert len(LAW_IDS) == 30
