@@ -136,6 +136,12 @@ class TestCompilation:
         assert fn((x, y)) == eval_expr(tree, (x, y))
 
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_compiled_numbers_that_are_not_finite(self, value):
+        tree = Bin("-", Var(1), Num(value))
+        assert repr(compile_expr(tree, 1)((1.0,))) == repr(eval_expr(tree, (1.0,)))
+
+
 class TestArithmeticFaults:
     # source, env, the failing call or ^ node
     CASES = [
