@@ -135,7 +135,6 @@ class TestCompilation:
         fn = compile_expr(tree, 2)
         assert fn((x, y)) == eval_expr(tree, (x, y))
 
-
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_compiled_numbers_that_are_not_finite(self, value):
         tree = Bin("-", Var(1), Num(value))
