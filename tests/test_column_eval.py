@@ -253,3 +253,86 @@ class TestFaultsAndNaN:
         assert first_error(lambda: big.equals_strict(a, bad)) == point_error(
             a, bad, big.grid(a.shape)
         )
+
+
+def counting_cube(extents, rows):
+    """A 3-d make_cube leaf whose batch appends how many rows it is given to rows."""
+
+    def act(ts):
+        return (ts[0] - 2 * ts[1] + ts[0] * ts[2],)
+
+    def batch(block):
+        rows.append(len(block))
+        return [[act(ts)[0] for ts in block]]
+
+    return make_cube(3, extents, E1, act, batch=batch)
+
+
+class TestDistinctRows:
+    """The scan evaluates each distinct clamped grid row once, and reads what at reads."""
+
+    def test_a_cube_against_itself_reads_each_clamped_row_once(self):
+        rows = []
+        c = counting_cube((1.0, 2.0, 0.5), rows)
+        assert oracle.equals_strict(c, c)
+        assert rows == [5**3, 5**3]  # the probe r + 1 clamps back to r on every axis
+
+    def test_a_probe_that_clamps_apart_is_read(self):
+        rows_a, rows_b = [], []
+        a = counting_cube((1.0, 2.0, 0.5), rows_a)
+        b = counting_cube((1.0, 2.0 + 1e-12, 0.5), rows_b)
+        assert oracle.equals_strict(a, b)
+        assert rows_a == rows_b == [5 * 6 * 5]
+
+    @pytest.fixture(params=[1, 2, 7, 2048])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(core, "SCAN_BLOCK", request.param)
+        return request.param
+
+    def test_the_farthest_point_on_a_probe_row_of_the_wider_side(self, block):
+        a = square((1.0, 2.0), "1e6*t2^2*(1 + t1)")
+        b = square((1.0, 2.0 + 1e-10), "1e6*t2^2*(1 + t1)")
+        eq = oracle.equals_strict(a, b)
+        assert not eq and eq.witness.point == (1.0, 3.0)
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
+    def test_a_union_grid_of_unequal_shapes(self, block):
+        a = square((1.0, 2.0), "t1^2 + 3*t2 - t1*t2")
+        b = square((1.5, 0.5), "t1^2 + 3*t2 - t1*t2 + t1*t2/100")
+        eq = oracle.equals_action(a, b)
+        assert not eq
+        assert oracle_scan(eq) == point_scan(a, b, oracle.union_grid(a.shape, b.shape))
+
+    def test_a_negative_zero_extent_keeps_its_probe(self, block):
+        def act(ts):
+            return (math.copysign(1.0, ts[0]) + ts[1],)
+
+        a = make_cube(2, (-0.0, 1.0), E1, act)
+        b = make_cube(2, (0.0, 1.0), E1, act)
+        eq = oracle.equals_strict(a, b)  # the probe 1.0 clamps to -0.0 in a, 0.0 in b
+        assert not eq and eq.witness.point == (1.0, 0.0) and eq.witness.distance == 2.0
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
+    def test_a_nan_on_a_probe_row_of_the_wider_side(self, block):
+        inf = "max(t2 - 2, 0)*1e308*1e308*1e308"
+        a = square((1.0, 2.0), "t1 + t2")
+        b = square((1.0, 2.0 + 1e-12), f"{inf} - {inf} + t1 + t2")
+        eq = oracle.equals_strict(a, b)
+        assert not eq and eq.witness.point == (0.0, 3.0) and math.isnan(eq.witness.distance)
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
+    def test_a_fault_on_a_probe_row_of_the_wider_side(self, block):
+        a = square((1.0, 2.0), "t1 + t2")
+        b = square((1.0, 2.0 + 2**-40), "t1 + t2 + 1/(1 - 1099511627776*max(t2 - 2, 0)) - 1")
+        assert oracle.equals_strict(a, square((1.0, 2.0), "t1 + t2 + 1/(1 - 1099511627776*max(t2 - 2, 0)) - 1"))
+        want = point_error(a, b, oracle.grid(a.shape))
+        assert want[0] == "division by zero"
+        assert first_error(lambda: oracle.equals_strict(a, b)) == want
+
+    def test_a_nan_row_before_a_faulting_probe_row(self, block):
+        nan = "t1*t2*1e308*10 - t1*t2*1e308*10"  # NaN from (0.5, 0.5) on
+        a = square((2.0, 1.0), "t1 + t2")
+        b = square((2.0, 1.0 + 2**-40), f"{nan} + 1/(1 - 1099511627776*max(t2 - 1, 0)*min(t1, 1))")
+        eq = oracle.equals_strict(a, b)
+        assert not eq and eq.witness.point == (0.5, 0.5) and math.isnan(eq.witness.distance)
+        assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))

@@ -51,3 +51,36 @@ def test_frozen_oracle_subclass_constructs_without_arguments():
         pass
 
     assert dataclasses.astuple(Subclass()) == dataclasses.astuple(core.EqualityOracle())
+
+
+def test_an_oracle_subclass_sees_the_grid_of_every_comparison():
+    """lawbench counts grid points by wrapping grid and union_grid."""
+    from moorecubes import Euclidean, cube_from_exprs
+
+    seen = []
+
+    def walk(points):
+        for p in points:
+            seen.append(p)
+            yield p
+
+    @dataclasses.dataclass(frozen=True)
+    class Counting(core.EqualityOracle):
+        def grid(self, shape):
+            return walk(super().grid(shape))
+
+        def union_grid(self, a, b):
+            return walk(super().union_grid(a, b))
+
+    plain, counting = core.EqualityOracle(), Counting()
+    a = cube_from_exprs(2, (1.0, 2.0), Euclidean(1), ["t1*t2"])
+    b = cube_from_exprs(2, (1.5, 2.0), Euclidean(1), ["t1*t2 + t1"])
+    nan = cube_from_exprs(2, (1.0, 2.0), Euclidean(1), ["t1*t2*1e308*10 - t1*t2*1e308*10"])
+    for x, y in ((a, a), (a, nan)):
+        seen.clear()
+        assert repr(counting.equals_strict(x, y)) == repr(plain.equals_strict(x, y))
+        assert seen == list(plain.grid(x.shape))
+    for x, y in ((a, b), (b, a), (a, nan)):
+        seen.clear()
+        assert repr(counting.equals_action(x, y)) == repr(plain.equals_action(x, y))
+        assert seen == list(plain.union_grid(x.shape, y.shape))
