@@ -8,9 +8,11 @@ function, so the constancy invariant holds by construction.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -431,25 +433,93 @@ BEYOND_MARGIN = 1.0
 SCAN_BLOCK = 2048
 
 
-def _blocks(a: MooreCube, b: MooreCube, pts) -> Iterator[tuple]:
-    """(block, a's columns, b's columns) for each block of grid points, in order.
+_BITS = struct.Struct("2d").pack
 
-    Blocks of SCAN_BLOCK points are evaluated a side at a time on columns.
-    A block that raises there is evaluated again point by point, so a fault
-    raises the error, at the point, that evaluating a and then b at each
-    point in turn would.
+
+def _distinct_axes(a: MooreCube, b: MooreCube, axes) -> list[tuple[list, list, list]]:
+    """Each axis's grid values, one per class of equal clamped values in a and in b.
+
+    A class is keyed by the bits of its clamped pair (so -0.0 is not 0.0)
+    and stands for its first grid value.  Per axis: the class's position
+    in the axis, and its value clamped into a's box and into b's, in
+    grid order.
     """
-    pts = iter(pts)
-    while block := list(itertools.islice(pts, SCAN_BLOCK)):
-        n, cols = len(block), list(zip(*block))
+    out = []
+    for axis, ra, rb in zip(axes, a.shape.extents, b.shape.extents):
+        ta = [0.0 if t < 0.0 else (ra if t > ra else float(t)) for t in axis]
+        tb = [0.0 if t < 0.0 else (rb if t > rb else float(t)) for t in axis]
+        keys = list(map(_BITS, ta, tb))
+        ks = [k for k, key in enumerate(keys) if keys.index(key) == k]
+        out.append((ks, [ta[k] for k in ks], [tb[k] for k in ks]))
+    return out
+
+
+def _row(axes, i: int) -> tuple:
+    """Row i of itertools.product(*axes)."""
+    row = []
+    for axis in reversed(axes):
+        i, k = divmod(i, len(axis))
+        row.append(axis[k])
+    return tuple(reversed(row))
+
+
+def _product_columns(axes) -> list[list]:
+    """The columns of itertools.product(*axes)."""
+    n = math.prod(map(len, axes))
+    cols, run = [], n
+    for axis in axes:
+        run //= len(axis)
+        col = []
+        for v in axis:
+            col += [v] * run
+        cols.append(col * (n // len(col)))
+    return cols
+
+
+def _product_blocks(*sides) -> Iterator[tuple]:
+    """(n, columns of each side) for blocks of rows of itertools.product(*axes).
+
+    Every side is a list of axes of the same lengths.  The blocks follow
+    the product's order and hold at most SCAN_BLOCK rows each: a product
+    too large for one block is split by the values of its first axis.
+    """
+    n = math.prod(map(len, sides[0]))
+    if n <= SCAN_BLOCK:  # one block on every lab grid
+        yield n, *map(_product_columns, sides)
+        return
+    for k in range(len(sides[0][0])):
+        for m, *cols in _product_blocks(*(axes[1:] for axes in sides)):
+            yield m, *([[axes[0][k]] * m] + c for axes, c in zip(sides, cols))
+
+
+def _blocks(a: MooreCube, b: MooreCube, axes, pts) -> Iterator[tuple]:
+    """(n, point, a's columns, b's columns) for blocks of grid rows, in grid order.
+
+    pts is itertools.product(*axes), the grid.  Each side is evaluated on
+    columns once per distinct clamped row, the row of each class's first
+    grid values: every grid point reads what its row reads, and no point
+    comes before its row, so the first farthest (or NaN) point of the grid
+    is such a row.  point(k) is the grid point of the block's row k.  A
+    block that raises is replayed with at, from its first row on through
+    every grid point of pts, so a fault raises the error, at the point,
+    that evaluating a and then b at each grid point in turn would.
+    """
+    positions, axes_a, axes_b = zip(*_distinct_axes(a, b, axes))
+    reps = [[axis[k] for k in ks] for axis, ks in zip(axes, positions)]
+    start = 0
+    for n, cols_a, cols_b in _product_blocks(axes_a, axes_b):
         try:
-            sides = _columns_at(a, cols, n), _columns_at(b, cols, n)
+            sides = a.provenance.columns(cols_a, n), b.provenance.columns(cols_b, n)
         except Exception:
+            skip = 0
+            for axis, k in zip(axes, _row(positions, start)):
+                skip = skip * len(axis) + k
             # One block per point, made lazily, as the scan stops at a NaN.
-            for t in block:
-                yield [t], [[x] for x in a.at(t).coords], [[x] for x in b.at(t).coords]
-        else:
-            yield block, *sides
+            for t in itertools.islice(pts, skip, None):
+                yield 1, [t].__getitem__, [[x] for x in a.at(t).coords], [[x] for x in b.at(t).coords]
+            return
+        yield n, lambda k, start=start: _row(reps, start + k), *sides
+        start += n
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,28 +576,38 @@ class EqualityOracle:
         pts.append(extent + BEYOND_MARGIN)
         return list(dict.fromkeys(pts))
 
-    def grid(self, shape: Shape) -> Iterator[tuple[float, ...]]:
-        axes = [self.axis_samples(r) for r in shape]
-        return itertools.product(*axes)
+    def _axes(self, shape: Shape) -> list[list[float]]:
+        return [self.axis_samples(r) for r in shape]
 
-    def union_grid(self, a: Shape, b: Shape) -> Iterator[tuple[float, ...]]:
-        axes = [
+    def _union_axes(self, a: Shape, b: Shape) -> list[list[float]]:
+        return [
             sorted(set(self.axis_samples(ra)) | set(self.axis_samples(rb)))
             for ra, rb in zip(a, b)
         ]
-        return itertools.product(*axes)
+
+    def grid(self, shape: Shape) -> Iterator[tuple[float, ...]]:
+        return itertools.product(*self._axes(shape))
+
+    def union_grid(self, a: Shape, b: Shape) -> Iterator[tuple[float, ...]]:
+        return itertools.product(*self._union_axes(a, b))
 
     def shapes_equal(self, a: Shape, b: Shape) -> bool:
         return len(a) == len(b) and all(
             abs(ra - rb) <= self.tol_shape for ra, rb in zip(a, b)
         )
 
-    def _scan(self, a: MooreCube, b: MooreCube, pts) -> Equality:
+    def _scan(self, a: MooreCube, b: MooreCube, axes, pts) -> Equality:
+        """Compare a and b on pts, the grid itertools.product(*axes).
+
+        pts is walked to its end (or to a fault), also where the scan
+        evaluates fewer rows, so a subclass that wraps grid or union_grid
+        sees every point of it.
+        """
         if a.dim:
             distances = a.space.distances
             worst = -1.0
-            for block, pa, pb in _blocks(a, b, pts):
-                ds = distances(pa, pb, len(block))
+            for n, point, pa, pb in _blocks(a, b, axes, pts):
+                ds = distances(pa, pb, n)
                 total = sum(ds)
                 if total != total:  # a NaN: the first NaN point is the witness
                     k = next(k for k, d in enumerate(ds) if d != d)
@@ -536,9 +616,10 @@ class EqualityOracle:
                     if not ds[k] > worst:
                         continue
                 worst = ds[k]
-                found = block[k], tuple(col[k] for col in pa), tuple(col[k] for col in pb)
+                found = point(k), tuple(col[k] for col in pa), tuple(col[k] for col in pb)
                 if worst != worst:
                     break
+            collections.deque(pts, 0)
         else:  # the one point (), cheaper alone; clamping it changes nothing
             (t,) = pts
             found = t, a.provenance.act(t).coords, b.provenance.act(t).coords
@@ -560,7 +641,7 @@ class EqualityOracle:
                 "shape",
                 detail=f"shapes {a.shape.extents} vs {b.shape.extents}",
             )
-        return self._scan(a, b, self.grid(a.shape))
+        return self._scan(a, b, self._axes(a.shape), self.grid(a.shape))
 
     def equals_action(self, a: MooreCube, b: MooreCube) -> Equality:
         """Values agree on the union grid; shapes are allowed to differ."""
@@ -568,4 +649,6 @@ class EqualityOracle:
             return Equality(False, "dim", detail=f"dims {a.dim} vs {b.dim}")
         if a.space != b.space:
             return Equality(False, "space", detail=f"spaces {a.space} vs {b.space}")
-        return self._scan(a, b, self.union_grid(a.shape, b.shape))
+        return self._scan(
+            a, b, self._union_axes(a.shape, b.shape), self.union_grid(a.shape, b.shape)
+        )
