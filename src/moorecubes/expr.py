@@ -28,7 +28,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import MooreCube, Shape, Space, make_cube
 from .errors import DimensionMismatch, EvalError, ParseError
@@ -519,17 +519,29 @@ def cube_from_exprs(
         raise DimensionMismatch(
             f"{len(exprs)} expression(s) for a space of dimension {space.total_dim}"
         )
+    return _dsl_cube(dim, shape, space, map(_text_and_tree, exprs))
+
+
+def _text_and_tree(e: str | Expr) -> tuple[str, Expr]:
+    if isinstance(e, str):
+        return e, parse_expr(e)
+    source, height = _render(e, _LEVEL_ADD)
+    # A number that is not finite renders as the name inf or nan.
+    if height > MAX_DEPTH or "inf" in source or "nan" in source:
+        parse_expr(source)  # raises the ParseError that loading the source would
+    return source, e
+
+
+def _dsl_cube(
+    dim: int, shape: Shape | Sequence[float], space: Space, leaves: Iterable[tuple[str, Expr]]
+) -> MooreCube:
+    """The cube of cube_from_exprs from (text, tree) pairs, one per coordinate.
+
+    Each tree must be parse_expr(text); each is compiled as it is drawn.
+    """
     sources: list[str] = []
     fns: list[Callable[[Sequence[float]], float]] = []
-    for e in exprs:
-        if isinstance(e, str):
-            node, source = parse_expr(e), e
-        else:
-            node = e
-            source, height = _render(e, _LEVEL_ADD)
-            # A number that is not finite renders as the name inf or nan.
-            if height > MAX_DEPTH or "inf" in source or "nan" in source:
-                parse_expr(source)  # raises the ParseError that loading the source would
+    for source, node in leaves:
         sources.append(source)
         fns.append(compile_expr(node, dim).code)
     texts = tuple(sources)

@@ -12,45 +12,82 @@ from typing import Sequence
 
 from .core import Euclidean, MooreCube, Primitive, Shape, Space
 from .errors import BadIndex
-from .expr import Bin, Call, Expr, Num, Var, cube_from_exprs, parse_expr, substitute
+from .expr import Bin, Call, Expr, Num, Unary, Var, _dsl_cube, cube_from_exprs, parse_expr, substitute
 
 P_ZERO = 0.1  # chance that a random extent is zero, where zero extents are allowed
 P_TRIG = 0.25  # chance that a random coordinate expression is wrapped in sin
 
 
-def _poly_source(rng: random.Random, dim: int, trig: bool) -> str:
-    """A degree <= 2 polynomial in t1..tdim with small integer coefficients."""
-    terms: list[str] = []
+# A DSL primitive with the parsed trees of its expressions, so that the
+# generators that rewrite it need not parse its texts again.
+Leaf = tuple[MooreCube, list[Expr]]
+
+
+def _num(value: int) -> Expr:
+    """The tree parse_expr gives str(value)."""
+    return Num(float(value)) if value >= 0 else Unary("-", Num(float(-value)))
+
+
+def _poly(rng: random.Random, dim: int, trig: bool) -> tuple[str, Expr]:
+    """A degree <= 2 polynomial in t1..tdim with small integer coefficients.
+
+    Returns its text and the tree parse_expr gives it.
+    """
+    terms: list[tuple[str, Expr]] = []
     constant = rng.randint(-3, 3)
     if constant:
-        terms.append(str(constant))
+        terms.append((str(constant), _num(constant)))
     for i in range(1, dim + 1):
         linear = rng.randint(-3, 3)
         if linear:
-            terms.append(f"{linear}*t{i}")
+            terms.append((f"{linear}*t{i}", Bin("*", _num(linear), Var(i))))
         square = rng.randint(-2, 2)
         if square:
-            terms.append(f"{square}*t{i}^2")
+            terms.append((f"{square}*t{i}^2", Bin("*", _num(square), Bin("^", Var(i), Num(2.0)))))
     if dim >= 2 and rng.random() < 0.4:
         i, j = rng.sample(range(1, dim + 1), 2)
-        terms.append(f"{rng.choice([-1, 1])}*t{i}*t{j}")
+        sign = rng.choice([-1, 1])
+        terms.append((f"{sign}*t{i}*t{j}", Bin("*", Bin("*", _num(sign), Var(i)), Var(j))))
     if not terms:
-        terms.append(str(rng.randint(1, 3)))
-    source = " + ".join(terms)
+        value = rng.randint(1, 3)
+        terms.append((str(value), _num(value)))
+    source, tree = terms[0]
+    for text, term in terms[1:]:
+        source, tree = f"{source} + {text}", Bin("+", tree, term)
     if trig:
-        return f"sin({source})"
-    return source
+        return f"sin({source})", Call("sin", (tree,))
+    return source, tree
 
 
-def _poly_sources(rng: random.Random, dim: int, count: int) -> list[str]:
-    return [_poly_source(rng, dim, trig=rng.random() < P_TRIG) for _ in range(count)]
+def _polys(rng: random.Random, dim: int, count: int) -> list[tuple[str, Expr]]:
+    return [_poly(rng, dim, trig=rng.random() < P_TRIG) for _ in range(count)]
 
 
-def _parsed(c: MooreCube) -> list[Expr]:
-    """The parsed expressions of a DSL primitive; TypeError for any other cube."""
+def _parsed(c: MooreCube) -> Leaf:
+    """c with the parsed expressions of a DSL primitive; TypeError for any other cube."""
     if not isinstance(c.provenance, Primitive) or c.provenance.exprs is None:
         raise TypeError("the cube must be a primitive built from DSL expressions")
-    return [parse_expr(e) for e in c.provenance.exprs]
+    return c, [parse_expr(e) for e in c.provenance.exprs]
+
+
+def _gen_leaf(
+    rng: random.Random,
+    dim: int,
+    *,
+    space: Space | None = None,
+    shape: Shape | Sequence[float] | None = None,
+    allow_zero: bool = True,
+) -> Leaf:
+    if space is None:
+        space = Euclidean(rng.randint(1, 2))
+    if shape is None:
+        extents = tuple(
+            0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
+            for _ in range(dim)
+        )
+        shape = Shape(extents)
+    polys = _polys(rng, dim, space.total_dim)
+    return _dsl_cube(dim, shape, space, polys), [tree for _, tree in polys]
 
 
 def gen_cube(
@@ -62,15 +99,22 @@ def gen_cube(
     allow_zero: bool = True,
 ) -> MooreCube:
     """A random cube: random extents and polynomial (or sine-wrapped) action."""
-    if space is None:
-        space = Euclidean(rng.randint(1, 2))
-    if shape is None:
-        extents = tuple(
-            0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
-            for _ in range(dim)
-        )
-        shape = Shape(extents)
-    return cube_from_exprs(dim, shape, space, _poly_sources(rng, dim, space.total_dim))
+    return _gen_leaf(rng, dim, space=space, shape=shape, allow_zero=allow_zero)[0]
+
+
+def _extend_chain(rng: random.Random, prev: Leaf, j: int, allow_zero: bool) -> Leaf:
+    cube, trees = prev
+    dim = cube.dim
+    if not 1 <= j <= dim:
+        raise BadIndex(f"direction {j} out of range for dimension {dim}")
+    seams = [substitute(p, j, Num(cube.shape[j - 1])) for p in trees]
+    extents = list(cube.shape.extents)
+    extents[j - 1] = (
+        0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
+    )
+    gs = [tree for _, tree in _polys(rng, dim, cube.space.total_dim)]
+    exprs = [Bin("+", Bin("-", g, substitute(g, j, Num(0.0))), seam) for g, seam in zip(gs, seams)]
+    return cube_from_exprs(dim, extents, cube.space, exprs), exprs
 
 
 def extend_chain(
@@ -86,17 +130,14 @@ def extend_chain(
     DSL primitive g - g[t_j := 0] + prev[t_j := r_j], for a random
     polynomial g: the two g terms cancel exactly at t_j = 0, leaving the face.
     """
-    dim = prev.dim
-    if not 1 <= j <= dim:
-        raise BadIndex(f"direction {j} out of range for dimension {dim}")
-    seams = [substitute(p, j, Num(prev.shape[j - 1])) for p in _parsed(prev)]
-    extents = list(prev.shape.extents)
-    extents[j - 1] = (
-        0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
-    )
-    gs = map(parse_expr, _poly_sources(rng, dim, prev.space.total_dim))
-    exprs = [Bin("+", Bin("-", g, substitute(g, j, Num(0.0))), seam) for g, seam in zip(gs, seams)]
-    return cube_from_exprs(dim, extents, prev.space, exprs)
+    return _extend_chain(rng, _parsed(prev), j, allow_zero)[0]
+
+
+def _composable_pair(
+    rng: random.Random, dim: int, j: int, space: Space | None, allow_zero: bool
+) -> tuple[Leaf, Leaf]:
+    a = _gen_leaf(rng, dim, space=space, allow_zero=allow_zero)
+    return a, _extend_chain(rng, a, j, allow_zero)
 
 
 def gen_composable_pair(
@@ -108,9 +149,25 @@ def gen_composable_pair(
     allow_zero: bool = False,
 ) -> tuple[MooreCube, MooreCube]:
     """Two cubes a, b with the upper j-face of a equal to the lower j-face of b."""
-    a = gen_cube(rng, dim, space=space, allow_zero=allow_zero)
-    b = extend_chain(rng, a, j, allow_zero=allow_zero)
+    (a, _), (b, _) = _composable_pair(rng, dim, j, space, allow_zero)
     return a, b
+
+
+def _subdivide(leaf: Leaf, j: int, cut: float) -> tuple[Leaf, Leaf]:
+    c, exprs = leaf
+    if not 1 <= j <= c.dim:
+        raise BadIndex(f"direction {j} out of range for dimension {c.dim}")
+    r = c.shape.extents[j - 1]
+    if not 0.0 <= cut <= r:
+        raise BadIndex(f"cut {cut} outside [0, {r}]")
+    shifted = Call("min", (Bin("+", Var(j), Num(float(cut))), Num(r)))
+    left_extents = list(c.shape.extents)
+    left_extents[j - 1] = cut
+    right_extents = list(c.shape.extents)
+    right_extents[j - 1] = r - cut
+    left = MooreCube(Shape(left_extents), c.space, c.provenance)
+    right = [substitute(e, j, shifted) for e in exprs]
+    return (left, exprs), (cube_from_exprs(c.dim, right_extents, c.space, right), right)
 
 
 def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
@@ -122,20 +179,17 @@ def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
     can round past r_j.  Composing the pieces back in direction j recovers
     c's shape exactly, and past the cut it reads c at (t_j - cut) + cut.
     """
-    if not 1 <= j <= c.dim:
-        raise BadIndex(f"direction {j} out of range for dimension {c.dim}")
-    r = c.shape.extents[j - 1]
-    if not 0.0 <= cut <= r:
-        raise BadIndex(f"cut {cut} outside [0, {r}]")
-    exprs = _parsed(c)
-    shifted = Call("min", (Bin("+", Var(j), Num(float(cut))), Num(r)))
-    left_extents = list(c.shape.extents)
-    left_extents[j - 1] = cut
-    right_extents = list(c.shape.extents)
-    right_extents[j - 1] = r - cut
-    left = MooreCube(Shape(left_extents), c.space, c.provenance)
-    right = cube_from_exprs(c.dim, right_extents, c.space, [substitute(e, j, shifted) for e in exprs])
+    (left, _), (right, _) = _subdivide(_parsed(c), j, cut)
     return left, right
+
+
+def _quadrants(
+    leaf: Leaf, cut1: float, cut2: float
+) -> tuple[tuple[MooreCube, MooreCube], tuple[MooreCube, MooreCube]]:
+    low1, high1 = _subdivide(leaf, 1, cut1)
+    (a, _), (b, _) = _subdivide(low1, 2, cut2)
+    (d_low, _), (d_high, _) = _subdivide(high1, 2, cut2)
+    return (a, b), (d_low, d_high)
 
 
 def quadrants(
@@ -148,7 +202,4 @@ def quadrants(
     """
     if c.dim != 2:
         raise BadIndex(f"quadrants requires a 2-cube, got dimension {c.dim}")
-    low1, high1 = subdivide(c, 1, cut1)
-    a, b = subdivide(low1, 2, cut2)
-    d_low, d_high = subdivide(high1, 2, cut2)
-    return (a, b), (d_low, d_high)
+    return _quadrants(_parsed(c), cut1, cut2)

@@ -41,7 +41,14 @@ from .core import (
 )
 from .errors import CompositionUndefined, UnknownLaw
 from .expr import cube_from_exprs
-from .generators import extend_chain, gen_composable_pair, gen_cube, quadrants
+from .generators import (
+    _composable_pair,
+    _extend_chain,
+    _gen_leaf,
+    _quadrants,
+    gen_composable_pair,
+    gen_cube,
+)
 from .ops import Sign, connection, degeneracy, face, reverse
 from .tensor import reassociate, tensor
 
@@ -365,10 +372,11 @@ def _case_3_3_other(rng, k, oracle):
 
 @law("3.4")
 def _case_3_4(rng, k, oracle):
-    x = gen_cube(rng, 2, allow_zero=False)
+    leaf = _gen_leaf(rng, 2, allow_zero=False)
+    x = leaf[0]
     cut1 = x.shape[0] * rng.uniform(0.2, 0.8)
     cut2 = x.shape[1] * rng.uniform(0.2, 0.8)
-    (low_low, low_high), (high_low, high_high) = quadrants(x, cut1, cut2)
+    (low_low, low_high), (high_low, high_high) = _quadrants(leaf, cut1, cut2)
     grid = [[low_low, high_low], [low_high, high_high]]
     fold12 = multi_compose(grid, oracle, fold_order=(1, 2))
     fold21 = multi_compose(grid, oracle, fold_order=(2, 1))
@@ -477,8 +485,8 @@ law("2.7.second")(partial(_cancellation_case, second=True))
 def _case_assoc(rng, k, oracle):
     dim = 1 + k % 2
     j = 1 + (k // 2) % dim
-    a, b = gen_composable_pair(rng, dim, j)
-    c = extend_chain(rng, b, j)
+    (a, _), (b, b_trees) = _composable_pair(rng, dim, j, None, False)
+    c, _ = _extend_chain(rng, (b, b_trees), j, False)
     lhs = compose_strict(compose_strict(a, b, j, oracle), c, j, oracle)
     rhs = compose_strict(a, compose_strict(b, c, j, oracle), j, oracle)
     return _cmp(f"assoc{j}", lhs, rhs)
