@@ -594,8 +594,16 @@ def _builder(law_id: str) -> Callable[..., LawCase]:
 
 
 def build_case(law_id: str, seed: int, k: int, oracle: EqualityOracle) -> LawCase:
-    """Reconstruct instance k of a law exactly as the suite built it."""
-    return _builder(law_id)(_rng(seed, law_id, k), k, oracle)
+    """Reconstruct instance k of a law exactly as the suite built it.
+
+    A composition that the builder's construction rejects makes a failed
+    case, with the rejection as its failure.
+    """
+    builder = _builder(law_id)
+    try:
+        return builder(_rng(seed, law_id, k), k, oracle)
+    except CompositionUndefined as exc:
+        return LawCase((), not_constructible=True, failure=exc)
 
 
 def _witness_from(found: Equality | CompositionUndefined, k: int, name: str) -> Witness | None:

@@ -298,6 +298,12 @@ class TestCliCheckLaws:
         assert "2.7.first" in out and "FAILS" in out
         assert "witness (1, 0) values 0 vs 1" in out
 
+    def test_tolerance_zero_prints_the_table(self, capsys):
+        """At --tol 0 the strict compositions of assoc are rejected: a failed instance."""
+        assert main(["check-laws", "--seed", "42", "--instances", "5", "--tol", "0"]) == 0
+        rows = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]}
+        assert len(rows) == 30 and rows["assoc"] == "FAILS"
+
     def test_exit_zero_even_when_laws_fail(self, capsys):
         assert main(["check-laws", "--instances", "2", "--laws", "2.7.first"]) == 0
 

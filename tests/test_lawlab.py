@@ -245,3 +245,22 @@ class TestPinnedOutput:
         table = hashlib.sha256(format_table(report).encode("utf-8")).hexdigest()
         data = hashlib.sha256(_report_json(report).encode("utf-8")).hexdigest()
         assert (table, data) == (TABLE_SHA256, REPORT_SHA256)
+
+
+class TestRejectedConstruction:
+    """A builder whose strict composition is rejected gives a failed instance."""
+
+    tol_zero = EqualityOracle(tol_val=0.0, tol_shape=0.0)
+
+    def test_assoc_at_tolerance_zero_fails_with_a_construction_witness(self):
+        res = check_instance("assoc", 42, 0, self.tol_zero)
+        assert res.status == "failed" and res.not_constructible
+        assert res.witness.comparison == "construction"
+        assert res.note.startswith("construction: faces in direction 1 differ")
+
+    def test_its_witness_replays(self):
+        out = check_law("assoc", n_instances=5, seed=42, oracle=self.tol_zero)
+        assert out.classification is Classification.FAILS
+        w = out.witness
+        assert w.comparison == "construction" and w.distance > 0.0
+        assert abs(reevaluate_witness("assoc", w, seed=42, oracle=self.tol_zero) - w.distance) <= 1e-12
