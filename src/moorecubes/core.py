@@ -428,8 +428,9 @@ def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCub
 
 BEYOND_MARGIN = 1.0
 
-# Grid points the oracle evaluates at once: more than any lab grid holds
-# (11^3 = 1,331 and 6^4 = 1,296), few enough to bound memory on large grids.
+# Distinct grid rows the oracle evaluates at once: more than any lab grid
+# holds (11^3 = 1,331 and 6^4 = 1,296), few enough to bound memory on large
+# grids.
 SCAN_BLOCK = 2048
 
 

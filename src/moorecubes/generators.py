@@ -154,7 +154,7 @@ def gen_composable_pair(
 
 
 def _subdivide(leaf: Leaf, j: int, cut: float) -> tuple[Leaf, Leaf]:
-    c, exprs = leaf
+    c, trees = leaf
     if not 1 <= j <= c.dim:
         raise BadIndex(f"direction {j} out of range for dimension {c.dim}")
     r = c.shape.extents[j - 1]
@@ -166,8 +166,8 @@ def _subdivide(leaf: Leaf, j: int, cut: float) -> tuple[Leaf, Leaf]:
     right_extents = list(c.shape.extents)
     right_extents[j - 1] = r - cut
     left = MooreCube(Shape(left_extents), c.space, c.provenance)
-    right = [substitute(e, j, shifted) for e in exprs]
-    return (left, exprs), (cube_from_exprs(c.dim, right_extents, c.space, right), right)
+    right = [substitute(e, j, shifted) for e in trees]
+    return (left, trees), (cube_from_exprs(c.dim, right_extents, c.space, right), right)
 
 
 def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
