@@ -1,8 +1,10 @@
 """Cube files on disk and the command-line entry points."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -212,6 +214,26 @@ class TestCliApply:
         _, path = square_file(tmp_path)
         assert main(["apply", "--in", str(path), "--op", "twist:1"]) == 2
         assert "bad op spec" in capsys.readouterr().err
+
+
+class TestCliStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--in", "{a}", "--op", "conn:-:1", "--op", "rev:2"],
+            ["compose", "--a", "{a}", "--b", "{b}", "--dir", "1"],
+        ],
+        ids=["apply", "compose"],
+    )
+    def test_stdout_carries_the_bytes_of_the_out_file(self, argv, tmp_path, capsys):
+        _, a = square_file(tmp_path)
+        _, b = line_file(tmp_path)
+        argv = [arg.format(a=a, b=b) for arg in argv]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 class TestCliCompose:
@@ -497,7 +519,8 @@ class TestDepthLimit:
         assert cube.shape.extents == (float(MAX_DEPTH),)
         assert cube.at((0.5,)).coords == (1.0,)
         save_cube(cube, str(again))
-        assert json.loads(again.read_text()) == json.loads(path.read_text())
+        reference = json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True)
+        assert again.read_text() == reference + "\n"
         assert main(["sample", "--in", str(path)]) == 0
 
     @pytest.mark.parametrize("pieces", [MAX_DEPTH + 1, 980, 3000])
@@ -712,3 +735,148 @@ class TestBuiltCubesLoad:
         err = capsys.readouterr().err
         assert "target space nested too deeply" in err and "Traceback" not in err
         assert not path.exists()
+
+
+def _rebracketed(space):
+    """The other bracketing of a product of three factors, or the space itself."""
+    if isinstance(space, Product) and isinstance(space.left, Product):
+        return Product(space.left.left, Product(space.left.right, space.right))
+    if isinstance(space, Product) and isinstance(space.right, Product):
+        return Product(Product(space.left, space.right.left), space.right.right)
+    return space
+
+
+def _mapped(rng, name, c):
+    """c under the structure map name, with indices drawn from rng."""
+    i, sign = rng.randint(1, max(c.dim, 1)), rng.choice(list(Sign))
+    if name == "face":
+        return face(c, i, sign)
+    if name == "degeneracy":
+        return degeneracy(c, rng.randint(1, c.dim + 1))
+    if name == "connection":
+        return connection(c, i, sign)
+    if name == "reverse":
+        return reverse(c, i)
+    if name == "strict":  # then a zero-extent piece on c's upper i-face
+        return compose_strict(c, degeneracy(face(c, i, Sign.PLUS), i), i)
+    if name == "lenient":  # after a zero-extent piece on c's lower i-face
+        return compose_lenient(degeneracy(face(c, i, Sign.MINUS), i), c, i)
+    if name == "chain":
+        return compose_strict(c, extend_chain(rng, c, i), i)
+    if name == "tensor":
+        return tensor(c, gen_cube(rng, rng.randint(0, 1)))
+    return reassociate(c, _rebracketed(c.space))
+
+
+# The dimensions each structure map of the round-trip fuzz is applied at.
+_MAP_DIMS = {
+    "face": range(1, 5),
+    "degeneracy": range(0, 4),
+    "connection": range(1, 4),
+    "reverse": range(1, 5),
+    "strict": range(1, 4),
+    "lenient": range(1, 4),
+    "chain": range(1, 4),
+    "tensor": range(0, 4),
+    "reassociate": range(0, 5),
+}
+
+
+class TestRoundTripFuzz:
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 2),
+        st.lists(st.sampled_from(sorted(_MAP_DIMS)), max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, seed, dim, names):
+        rng = random.Random(seed)
+        cube = gen_cube(rng, dim)
+        for name in names:
+            if name == "chain" and getattr(cube.provenance, "exprs", None) is None:
+                continue  # extend_chain takes DSL leaves only
+            if cube.dim in _MAP_DIMS[name]:
+                cube = _mapped(rng, name, cube)
+        folder = tmp_path_factory.mktemp("roundtrip")
+        first, second = folder / "first.json", folder / "second.json"
+        save_cube(cube, str(first))
+        save_cube(load_cube(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+
+# Command-line fuzzing vocabulary: for each flag, values it accepts and edge
+# values, drawn equally often.  "{x}" names one of the paths _argv_files gives.
+_EDGE_NUMBERS = ["nan", "inf", "-inf", "-5", "0", "-0", "1e308", str(10**30), "", "x"]
+_EDGE_FILES = ["{broken}", "{folder}", "{missing}", ""]
+_EDGE_OUTS = ["{folder}", "{missing}/out", ""]
+_VALUES = {
+    "--in": (["{line}", "{square}"], _EDGE_FILES),
+    "--a": (["{line}", "{square}", "{after}"], _EDGE_FILES),
+    "--b": (["{line}", "{square}", "{after}"], _EDGE_FILES),
+    "--out": (["{out}"], _EDGE_OUTS),
+    "--report": (["{out}"], _EDGE_OUTS),
+    "--op": (
+        ["face:+:1", "face:-:2", "conn:-:1", "conn:+:2", "deg:1", "deg:3", "rev:1"],
+        [f"rev:{10**30}", "face:+:0", "face:0:1", "twist:1", "deg:x", ""],
+    ),
+    "--dir": (["1", "2"], _EDGE_NUMBERS),
+    "--lenient": None,
+    "--grid": (["2", "6"], ["-1", "0", "1", "nan", ""]),
+    "--seed": (["0", "42", str(10**30), "-5"], ["nan", "inf", "", "x"]),
+    "--instances": (["1", "2"], ["-3", "0", "nan", ""]),
+    "--tol": (["0", "1e-9", "1e308"], _EDGE_NUMBERS),
+    "--laws": (["3.1.i", "2.7.first,3.1.i", " rev.involution "], ["", ",", " , ", "definitely.not"]),
+    "--scale": (["80", "0.5", "1e-300"], _EDGE_NUMBERS),
+}
+# Each subcommand's required flags, then its optional ones.
+_COMMANDS = {
+    "apply": (["--in", "--op"], ["--op", "--out"]),
+    "compose": (["--a", "--b", "--dir"], ["--lenient", "--out"]),
+    "tensor": (["--a", "--b"], ["--out"]),
+    "sample": (["--in"], ["--grid", "--out"]),
+    "check-laws": (["--instances"], ["--seed", "--instances", "--grid", "--tol", "--laws", "--report"]),
+    "svg": (["--in"], ["--out", "--scale"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["frobnicate", ""]))
+    required, optional = _COMMANDS.get(command, ([], sorted(_VALUES)))
+    flags = [flag for flag in required if draw(st.integers(0, 9))]  # each dropped 1 time in 10
+    flags += draw(st.lists(st.sampled_from(optional), max_size=4))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if _VALUES[flag] is not None:
+            valid, edge = _VALUES[flag]
+            argv.append(draw(st.sampled_from(valid) | st.sampled_from(edge)))
+    if command == "check-laws" and "--instances" not in argv:
+        argv += ["--instances", "1"]  # the default of 100 takes too long here
+    return argv
+
+
+def _argv_files(folder) -> dict:
+    """Input files for the command-line fuzz, and the paths it may name."""
+    square = connection(cube_from_exprs(1, Shape((2.0,)), Euclidean(1), ["t1^2"]), 1, Sign.MINUS)
+    line = cube_from_exprs(1, Shape((3.0,)), Euclidean(1), ["4 + t1"])
+    after = cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["7 + t1"])  # composes after line
+    paths = {name: folder / f"{name}.json" for name in ("square", "line", "after", "broken", "out")}
+    for name, cube in (("square", square), ("line", line), ("after", after)):
+        save_cube(cube, str(paths[name]))
+    paths["broken"].write_text('{"format": "moore-cube/1", "dim": 1')
+    paths["folder"] = folder
+    paths["missing"] = folder / "missing"
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestCliFuzz:
+    @given(_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_any_argv_exits_0_2_or_3(self, tmp_path_factory, argv):
+        names = _argv_files(tmp_path_factory.mktemp("argv"))
+        argv = [arg.format(**names) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
