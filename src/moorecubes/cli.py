@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .compose import compose_lenient, compose_strict
 from .core import EqualityOracle, MooreCube
-from .cubefile import cube_to_dict, load_cube, save_cube
+from .cubefile import dump_cube, load_cube, save_cube
 from .errors import CompositionUndefined, CubeFileError, MooreError
 from .lawlab import LAW_IDS, LawReport, run_suite
 from .ops import Sign, connection, degeneracy, face, reverse
@@ -70,8 +70,7 @@ def _emit_cube(cube: MooreCube, out: str | None) -> None:
             file=sys.stderr,
         )
     else:
-        json.dump(cube_to_dict(cube), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        dump_cube(cube, sys.stdout)
 
 
 def _cmd_apply(args) -> int:
@@ -148,15 +147,11 @@ def format_table(report: LawReport) -> str:
 
 
 def _cmd_check_laws(args) -> int:
-    if args.laws:
-        requested = [law.strip() for law in args.laws.split(",") if law.strip()]
-    else:
-        requested = None
     oracle = EqualityOracle(
         samples_per_axis=args.grid, tol_val=args.tol, tol_shape=args.tol
     )
     report = run_suite(
-        law_ids=requested, n_instances=args.instances, seed=args.seed, oracle=oracle
+        law_ids=args.laws, n_instances=args.instances, seed=args.seed, oracle=oracle
     )
     print(format_table(report))
     if args.report:
@@ -195,6 +190,20 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError("tol must be finite and >= 0")
     return value
+
+
+def _scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("scale must be finite and > 0")
+    return value
+
+
+def _law_list(text: str) -> list[str]:
+    laws = [law.strip() for law in text.split(",") if law.strip()]
+    if not laws:
+        raise argparse.ArgumentTypeError("laws must name at least one law")
+    return laws
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,6 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tol", type=_tolerance, default=1e-9)
     p_check.add_argument(
         "--laws",
+        type=_law_list,
         help=f"comma-separated law ids (default: all; known: {', '.join(LAW_IDS)})",
     )
     p_check.add_argument("--report", help="write the full report JSON here")
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_svg = sub.add_parser("svg", help="render a 2-cube file as SVG")
     p_svg.add_argument("--in", dest="infile", required=True)
     p_svg.add_argument("--out", help="output SVG (default: stdout)")
-    p_svg.add_argument("--scale", type=float, default=80.0, help="pixels per unit extent")
+    p_svg.add_argument("--scale", type=_scale, default=80.0, help="pixels per unit extent")
     p_svg.set_defaults(func=_cmd_svg)
 
     return parser

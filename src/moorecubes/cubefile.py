@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
-from typing import Any
+from typing import Any, Callable, TextIO
 
 from .compose import compose_lenient, compose_strict
 from .core import (
@@ -262,11 +262,49 @@ def cube_from_dict(data: Any) -> MooreCube:
     return cube
 
 
+def _write_json(value: Any, write: Callable[[str], Any], newline: str = "\n") -> None:
+    """Write value, whose keys are strings, as json.dump(value, indent=2, sort_keys=True) does.
+
+    One pass, one frame per nesting level, and each piece is written once:
+    json's own encoder passes every piece up through every enclosing level,
+    which is quadratic in the depth of a chain.  newline is the line break
+    plus the indentation of value's own level.
+    """
+    if isinstance(value, dict):
+        items = [(json.dumps(key) + ": ", item) for key, item in sorted(value.items())]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [("", item) for item in value]
+        opening, closing = "[", "]"
+    else:
+        write(json.dumps(value))
+        return
+    if not items:
+        write(opening + closing)
+        return
+    inner = newline + "  "
+    separator = opening + inner
+    for label, item in items:
+        write(separator + label)
+        _write_json(item, write, inner)
+        separator = "," + inner
+    write(newline + closing)
+
+
+def _write_document(data: dict, handle: TextIO) -> None:
+    _write_json(data, handle.write)
+    handle.write("\n")
+
+
+def dump_cube(cube: MooreCube, handle: TextIO) -> None:
+    """Write cube's file text to an open text handle: the bytes save_cube writes."""
+    _write_document(cube_to_dict(cube), handle)
+
+
 def save_cube(cube: MooreCube, path: str) -> None:
-    data = cube_to_dict(cube)
+    data = cube_to_dict(cube)  # a cube that cannot be saved leaves no file behind
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        _write_document(data, handle)
 
 
 def load_cube(path: str) -> MooreCube:

@@ -40,6 +40,7 @@ from moorecubes.cubefile import (
     MAX_DEPTH,
     MAX_SPACE_DEPTH,
     CubeFileError,
+    _write_json,
     cube_from_dict,
     cube_to_dict,
 )
@@ -332,6 +333,12 @@ class TestCliCheckLaws:
     def test_unknown_law_exits_2(self, capsys):
         assert main(["check-laws", "--laws", "definitely.not"]) == 2
 
+    @pytest.mark.parametrize("laws", ["", ",", " , "])
+    def test_laws_naming_no_law_exits_2(self, laws, capsys):
+        assert main(["check-laws", "--instances", "1", "--laws", laws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "laws must name at least one law" in captured.err
+
     def test_report_file_written(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         code = main(
@@ -377,6 +384,16 @@ class TestCliSvg:
         text = art.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text  # constancy elbows for the connection
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-5"])
+    def test_scale_must_be_finite_and_positive(self, scale, tmp_path, capsys):
+        _, path = square_file(tmp_path)
+        sq, art = tmp_path / "sq.json", tmp_path / "sq.svg"
+        assert main(["apply", "--in", str(path), "--op", "conn:-:1", "--out", str(sq)]) == 0
+        capsys.readouterr()
+        assert main(["svg", "--in", str(sq), "--scale", scale, "--out", str(art)]) == 2
+        assert "scale must be finite and > 0" in capsys.readouterr().err
+        assert not art.exists()
 
     def test_rejects_other_dimensions(self, tmp_path, capsys):
         _, path = square_file(tmp_path)
@@ -880,3 +897,30 @@ class TestCliFuzz:
             code = main(argv)
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(10**400), 0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.floats()
+    | st.text()
+    | st.text(st.characters(categories=["Cc", "Cs", "Zl", "Zp"]))
+)
+_VALUES_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    @given(_VALUES_JSON)
+    @settings(max_examples=400, deadline=None)
+    def test_text_is_that_of_json_dumps(self, value):
+        buffer = io.StringIO()
+        _write_json(value, buffer.write)
+        assert buffer.getvalue() == json.dumps(value, indent=2, sort_keys=True)
