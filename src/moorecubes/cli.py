@@ -203,6 +203,9 @@ def _law_list(text: str) -> list[str]:
     laws = [law.strip() for law in text.split(",") if law.strip()]
     if not laws:
         raise argparse.ArgumentTypeError("laws must name at least one law")
+    for i, law in enumerate(laws):
+        if law in laws[:i]:
+            raise argparse.ArgumentTypeError(f"law {law} is named more than once")
     return laws
 
 

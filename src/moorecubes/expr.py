@@ -28,6 +28,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import MooreCube, Shape, Space, make_cube
@@ -47,13 +48,10 @@ _MATH_FAULTS = (OverflowError, ValueError)
 # What compiled code raises where eval_expr raises EvalError: the math faults
 # of math.pow and the functions, and ZeroDivisionError from /.
 _FAULTS = (ArithmeticError, ValueError)
-# The names compiled code reads: math.pow, the functions, and inf and nan,
-# which repr writes for numbers that are not finite; no builtins.
+# The names compiled code reads: math.pow and the functions; no builtins.
 _NAMESPACE = {
     "__builtins__": {},
     "_pow": math.pow,
-    "inf": math.inf,
-    "nan": math.nan,
     **{name: fn for name, (_, fn) in FUNCTIONS.items()},
 }
 
@@ -444,13 +442,38 @@ def substitute(expr: Expr, index: int, value: Expr) -> Expr:
 def compile_expr(expr: Expr, n_vars: int) -> Callable[[Sequence[float]], float]:
     """Compile to a plain Python callable equivalent to eval_expr.
 
-    The generated code, the callable's code attribute, does the arithmetic
-    inline, with math.pow for ^ (the bits of ** where ** gives a float; it
-    raises where ** would give a complex number).  Where it raises, the
-    callable runs eval_expr instead, which raises the EvalError (with its
-    span) that names the failing node.  Variables beyond n_vars are
-    rejected here, at compile time.
+    The generated code, the callable's code attribute, reads the numbers
+    of expr from its parameters (see _emit) and does the arithmetic inline,
+    with math.pow for ^ (the bits of ** where ** gives a float; it raises
+    where ** would give a complex number).  Where it raises, the callable
+    runs eval_expr instead, which raises the EvalError (with its span) that
+    names the failing node.  Variables beyond n_vars are rejected here, at
+    compile time.
     """
+    code = _bind(*_emit(expr, n_vars))
+
+    def compiled(t: Sequence[float]) -> float:
+        try:
+            return code(t)
+        except _FAULTS:
+            return eval_expr(expr, t)
+
+    compiled.code = code
+    return compiled
+
+
+def _emit(expr: Expr, n_vars: int) -> tuple[CodeType, tuple[float, ...]]:
+    """The code of lambda t, c0, c1, ...: <expr>, and the numbers of expr.
+
+    There is one parameter per number, in source order (the emitter never
+    reorders operands), so expressions that differ only in their numbers
+    share one source, compiled once while _CODE keeps it.  A minus sign
+    applied directly to a number makes one negative number, which is the
+    value Python's constant folding gave an inline -c.  The numbers are
+    bound as defaults (_bind), not as the cells of an outer maker lambda,
+    which compile() takes a third longer or more to compile.
+    """
+    values: list[float] = []
 
     def emit(e: Expr, floor: int) -> str:
         """Python text for e, in parentheses only where floor binds tighter.
@@ -460,12 +483,15 @@ def compile_expr(expr: Expr, n_vars: int) -> Callable[[Sequence[float]], float]:
         which compile() would take longer to parse.
         """
         if isinstance(e, Num):
-            text = repr(e.value)
-            level = _LEVEL_UNARY if text[0] == "-" else _LEVEL_ATOM
+            text, level = f"c{len(values)}", _LEVEL_ATOM
+            values.append(e.value)
         elif isinstance(e, Var):
             if e.index > n_vars:
                 raise EvalError(f"unbound variable {e.name}", e.span)
             text, level = f"t[{e.index - 1}]", _LEVEL_ATOM
+        elif isinstance(e, Unary) and isinstance(e.operand, Num):
+            text, level = f"c{len(values)}", _LEVEL_ATOM
+            values.append(-e.operand.value)
         elif isinstance(e, Unary):
             text, level = "-" + emit(e.operand, _LEVEL_UNARY), _LEVEL_UNARY
         elif isinstance(e, Call):
@@ -478,16 +504,62 @@ def compile_expr(expr: Expr, n_vars: int) -> Callable[[Sequence[float]], float]:
             text, level = emit(e.left, _LEVEL_MUL) + e.op + emit(e.right, _LEVEL_UNARY), _LEVEL_MUL
         return text if level >= floor else f"({text})"
 
-    code = eval(compile(f"lambda t: {emit(expr, _LEVEL_ADD)}", "<moore-expr>", "eval"), _NAMESPACE)
+    body = emit(expr, _LEVEL_ADD)
+    source = f"lambda t{''.join(f',c{i}' for i in range(len(values)))}: {body}"
+    code = _CODE.get(source)
+    if code is None:
+        code = eval(compile(source, "<moore-expr>", "eval"), _NAMESPACE).__code__
+        _keep(_CODE, source, code)
+    return code, tuple(values)
 
-    def compiled(t: Sequence[float]) -> float:
-        try:
-            return code(t)
-        except _FAULTS:
-            return eval_expr(expr, t)
 
-    compiled.code = code
-    return compiled
+def _bind(code: CodeType, numbers: tuple[float, ...]) -> Callable[[Sequence[float]], float]:
+    """The function of code from _emit, with numbers as its c0, c1, ..."""
+    return FunctionType(code, _NAMESPACE, None, numbers)
+
+
+# The most entries _CODE and _LEAF_CODE each keep; the oldest goes first.
+# run_suite(100, 42) compiles 6,838 trees of 1,151 distinct sources: 64
+# entries leave 2,577 compile() calls, and 512 leave 1,407 but hold about a
+# megabyte of code objects.
+LEAF_CODE_SIZE = 64
+# The Python source _emit generates -> its compiled code.  Trees that
+# differ only in their numbers have one source, and the law lab's
+# generators draw most of their polynomials from a few shapes.
+_CODE: dict[str, CodeType] = {}
+# (dim, the token texts of a leaf with None for each number) -> the code
+# _emit made for the first text of that shape, and which of its numbers
+# carry a folded minus sign.  Filled by _leaf_code.
+_LEAF_CODE: dict[tuple, tuple[CodeType, tuple[bool, ...]]] = {}
+
+
+def _keep(table: dict, key, value) -> None:
+    """table[key] = value, first dropping the oldest entry of a full table."""
+    if len(table) >= LEAF_CODE_SIZE:
+        del table[next(iter(table))]
+    table[key] = value
+
+
+def _leaf_code(text: str, dim: int) -> Callable[[Sequence[float]], float]:
+    """The code of compile_expr(parse_expr(text), dim), with the same bits.
+
+    Texts that differ only in their numbers share one entry of _LEAF_CODE,
+    so only the first of a shape is parsed and compiled.  A text that fails
+    to parse or compile raises what parse_expr or compile_expr raises and
+    adds no entry; a number too large for a float always goes to the parser.
+    """
+    tokens = _lex(text)
+    key = (dim, *[None if tok.kind == "num" else tok.text for tok in tokens])
+    numbers = [float(tok.text) for tok in tokens if tok.kind == "num"]
+    entry = _LEAF_CODE.get(key)
+    if entry is not None and math.inf not in numbers:
+        code, negated = entry
+        return _bind(code, tuple([-v if neg else v for v, neg in zip(numbers, negated)]))
+    code, values = _emit(parse_expr(text), dim)
+    # The numbers of a text are never negative, so a value has its sign
+    # bit set (-0.0 included) just where a minus sign was folded into it.
+    _keep(_LEAF_CODE, key, (code, tuple(math.copysign(1.0, v) < 0 for v in values)))
+    return _bind(code, values)
 
 
 def _interpret(sources: tuple[str, ...], rows: list[tuple[float, ...]]) -> list[list[float]]:
@@ -513,7 +585,8 @@ def cube_from_exprs(
     finite) raises the ParseError that parsing the text does.  The cube keeps
     the texts and the generated code of compile_expr, not the trees: where
     the code raises, the texts are parsed again and interpreted, so the
-    EvalError's span points into the text.
+    EvalError's span points into the text.  The code of a text comes from
+    _leaf_code, which compiles each shape of text once.
     """
     if len(exprs) != space.total_dim:
         raise DimensionMismatch(
@@ -522,9 +595,9 @@ def cube_from_exprs(
     return _dsl_cube(dim, shape, space, map(_text_and_tree, exprs))
 
 
-def _text_and_tree(e: str | Expr) -> tuple[str, Expr]:
+def _text_and_tree(e: str | Expr) -> tuple[str, Expr | None]:
     if isinstance(e, str):
-        return e, parse_expr(e)
+        return e, None
     source, height = _render(e, _LEVEL_ADD)
     # A number that is not finite renders as the name inf or nan.
     if height > MAX_DEPTH or "inf" in source or "nan" in source:
@@ -533,17 +606,18 @@ def _text_and_tree(e: str | Expr) -> tuple[str, Expr]:
 
 
 def _dsl_cube(
-    dim: int, shape: Shape | Sequence[float], space: Space, leaves: Iterable[tuple[str, Expr]]
+    dim: int, shape: Shape | Sequence[float], space: Space, leaves: Iterable[tuple[str, Expr | None]]
 ) -> MooreCube:
     """The cube of cube_from_exprs from (text, tree) pairs, one per coordinate.
 
-    Each tree must be parse_expr(text); each is compiled as it is drawn.
+    Each tree must be parse_expr(text) and is compiled as it is drawn; a
+    text without a tree gets its code from _leaf_code.
     """
     sources: list[str] = []
     fns: list[Callable[[Sequence[float]], float]] = []
     for source, node in leaves:
         sources.append(source)
-        fns.append(compile_expr(node, dim).code)
+        fns.append(_leaf_code(source, dim) if node is None else compile_expr(node, dim).code)
     texts = tuple(sources)
 
     def evaluator(ts: tuple[float, ...]) -> tuple[float, ...]:

@@ -14,6 +14,8 @@ rightwards and direction 2 upwards.  Construction history adds cues:
 """
 from __future__ import annotations
 
+import math
+
 from .core import (
     ComposeNode,
     ConnectionNode,
@@ -22,7 +24,7 @@ from .core import (
     ReassociateNode,
     ReverseNode,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MooreError
 from .ops import Sign
 
 _OUTLINE = "#1f3a5f"
@@ -62,7 +64,11 @@ def _compose_cuts(cube: MooreCube, offset: float, out: list[float]) -> None:
 
 
 def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
-    """Render a 2-cube as a standalone SVG document string."""
+    """Render a 2-cube as a standalone SVG document string.
+
+    MooreError if the scaled drawing's size overflows to a number that is
+    not finite.
+    """
     if cube.dim != 2:
         raise DimensionMismatch(f"SVG rendering needs a 2-cube, got dimension {cube.dim}")
     r1, r2 = cube.shape.extents
@@ -70,6 +76,10 @@ def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
     box_h = max(r2 * scale, 2.0)
     width = 2 * _PADDING + box_w
     height = 2 * _PADDING + box_h + 18
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise MooreError(
+            f"scale {scale!r} makes the drawing of shape ({_fmt(r1)}, {_fmt(r2)}) infinitely large"
+        )
 
     def px(t1: float) -> float:
         return _PADDING + t1 * scale
@@ -175,5 +185,6 @@ def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
 
 
 def save_svg(cube: MooreCube, path: str, *, scale: float = 80.0) -> None:
+    text = render_svg(cube, scale=scale)  # before opening, so a refused drawing leaves no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(cube, scale=scale))
+        handle.write(text)

@@ -30,6 +30,7 @@ from moorecubes import (
     face,
     load_cube,
     reassociate,
+    render_svg,
     reverse,
     save_cube,
     tensor,
@@ -339,6 +340,12 @@ class TestCliCheckLaws:
         captured = capsys.readouterr()
         assert captured.out == "" and "laws must name at least one law" in captured.err
 
+    @pytest.mark.parametrize("laws", ["3.1.i,3.1.i", "3.1.i, 2.7.first ,3.1.i"])
+    def test_laws_naming_a_law_twice_exits_2(self, laws, capsys):
+        assert main(["check-laws", "--instances", "1", "--laws", laws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "law 3.1.i is named more than once" in captured.err
+
     def test_report_file_written(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         code = main(
@@ -394,6 +401,20 @@ class TestCliSvg:
         assert main(["svg", "--in", str(sq), "--scale", scale, "--out", str(art)]) == 2
         assert "scale must be finite and > 0" in capsys.readouterr().err
         assert not art.exists()
+
+    @pytest.mark.parametrize("out", [True, False])
+    def test_a_scale_that_overflows_the_drawing_exits_2(self, out, tmp_path, capsys):
+        _, path = square_file(tmp_path)
+        sq, art = tmp_path / "sq.json", tmp_path / "sq.svg"
+        assert main(["apply", "--in", str(path), "--op", "conn:-:1", "--out", str(sq)]) == 0
+        capsys.readouterr()
+        argv = ["svg", "--in", str(sq), "--scale", "1e308"] + (["--out", str(art)] if out else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "infinitely large" in captured.err
+        assert not art.exists()
+        with pytest.raises(MooreError, match="scale 1e\\+308"):
+            render_svg(load_cube(str(sq)), scale=1e308)
 
     def test_rejects_other_dimensions(self, tmp_path, capsys):
         _, path = square_file(tmp_path)

@@ -1,7 +1,9 @@
 """Expression language: lexing, parsing, evaluation, compilation, printing."""
 from __future__ import annotations
 
+import builtins
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from moorecubes import (
     Shape,
     compose_strict,
 )
+from moorecubes import expr
 from moorecubes.expr import (
     FUNCTIONS,
     MAX_DEPTH,
@@ -325,6 +328,101 @@ class TestCubeFromExprs:
     def test_rejects_variables_beyond_the_cube_dimension(self):
         with pytest.raises(EvalError):
             cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t2"])
+
+
+# Leaf templates whose texts share one token shape per template; every {}
+# is a number.  They cover unary minus on a number (-0.0 from -0), a double
+# minus, faults at evaluation, t2 (unbound in a 1-d leaf) and a lexer error.
+_TEMPLATES = [
+    "{} + {}*(t1 + {}) + {}*(t1 + {})^2",
+    "-{}*t1 - -{}",
+    "--{} + t1/(t1 - {})",
+    "max(t1, -{})^{} + t2",
+    "{}*t1^-{} - exp({}*t1)",
+    "t1 + {}.",
+]
+# Number texts: zero, the smallest subnormal, the largest floats, texts
+# that overflow to inf (a ParseError) or underflow to 0, and ordinary ones.
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(
+        ["0", "0.0", "5e-324", "1e308", "1.7976931348623157e308", "1e309", "2e400", "1e-400", "3", "0.5"]
+    ),
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=len(_TEMPLATES) - 1),
+        st.lists(_NUMBER_TEXTS, min_size=5, max_size=5),
+        st.integers(min_value=1, max_value=2),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_ROWS = st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0])] * 2), min_size=1, max_size=3)
+
+
+def _outcome(fn):
+    """repr of the value, or the exception's type, message and offset or span."""
+    try:
+        return repr(fn())
+    except (ParseError, EvalError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None), getattr(exc, "span", None)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+class TestLeafCode:
+    """The table of generated code that texts of one shape share."""
+
+    @given(_STEPS, _ROWS, st.integers(min_value=1, max_value=4))
+    @settings(max_examples=300, deadline=None)
+    def test_a_hit_has_the_bits_and_errors_of_a_fresh_parse(self, steps, rows, bound):
+        with mock.patch.object(expr, "_LEAF_CODE", {}) as table, mock.patch.object(
+            expr, "_CODE", {}
+        ) as sources, mock.patch.object(expr, "LEAF_CODE_SIZE", bound):
+            for index, numbers, dim in steps:
+                text = _TEMPLATES[index].format(*numbers)
+                before = dict(table)
+                fresh = _outcome(lambda: compile_expr(parse_expr(text), dim))
+                if isinstance(fresh, tuple):  # an error: the same one, and no entry
+                    assert _outcome(lambda: expr._leaf_code(text, dim)) == fresh
+                    assert table == before
+                    continue
+                code = expr._leaf_code(text, dim)
+                reference = compile_expr(parse_expr(text), dim).code
+                tree = parse_expr(text)
+                for row in rows:
+                    t = row[:dim]
+                    assert _outcome(lambda: code(t)) == _outcome(lambda: reference(t))
+                    interpreted = _outcome(lambda: eval_expr(tree, t))
+                    if isinstance(interpreted, str):
+                        assert _outcome(lambda: code(t)) == interpreted
+                    else:
+                        assert interpreted[0] == "EvalError"
+                assert 1 <= len(table) <= bound and 1 <= len(sources) <= bound
+
+    @pytest.mark.parametrize("built", ["text", "expr"])
+    def test_one_template_compiles_once(self, built, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return builtins.compile(*args)
+
+        monkeypatch.setattr(expr, "_LEAF_CODE", {})
+        monkeypatch.setattr(expr, "_CODE", {})
+        monkeypatch.setattr(expr, "compile", counting, raising=False)
+        texts = [f"1.5 + {k / 8!r}*(t1 + {k / 4!r}) + 0.0625*(t1 + {k / 4!r})^2" for k in range(200)]
+        # Trees skip the text table, but numbers of either sign are one
+        # parameter each, so all 200 trees share one generated source.
+        leaves = texts if built == "text" else [
+            Bin("+", Num((-1) ** k * k / 8), Bin("*", Var(1), Num(k / 4))) for k in range(200)
+        ]
+        pieces = [cube_from_exprs(1, Shape((0.25,)), Euclidean(1), [leaf]) for leaf in leaves]
+        assert len(calls) == 1
+        for leaf, piece in zip(leaves, pieces):
+            tree = parse_expr(leaf) if built == "text" else leaf
+            assert repr(piece.at((0.125,)).coords) == repr((eval_expr(tree, (0.125,)),))
 
 
 # Per construct: an expression n + 1 levels deep, and the byte offset of its
