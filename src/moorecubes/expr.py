@@ -523,9 +523,7 @@ def _bind(code: CodeType, numbers: tuple[float, ...]) -> Callable[[Sequence[floa
 # entries leave 2,577 compile() calls, and 512 leave 1,407 but hold about a
 # megabyte of code objects.
 LEAF_CODE_SIZE = 64
-# The Python source _emit generates -> its compiled code.  Trees that
-# differ only in their numbers have one source, and the law lab's
-# generators draw most of their polynomials from a few shapes.
+# The Python source _emit generates -> its compiled code.
 _CODE: dict[str, CodeType] = {}
 # (dim, the token texts of a leaf with None for each number) -> the code
 # _emit made for the first text of that shape, and which of its numbers
@@ -544,9 +542,9 @@ def _leaf_code(text: str, dim: int) -> Callable[[Sequence[float]], float]:
     """The code of compile_expr(parse_expr(text), dim), with the same bits.
 
     Texts that differ only in their numbers share one entry of _LEAF_CODE,
-    so only the first of a shape is parsed and compiled.  A text that fails
-    to parse or compile raises what parse_expr or compile_expr raises and
-    adds no entry; a number too large for a float always goes to the parser.
+    so only the first of a shape is parsed.  A text that fails to parse or
+    compile raises what parse_expr or compile_expr raises and adds no
+    entry; a number too large for a float always goes to the parser.
     """
     tokens = _lex(text)
     key = (dim, *[None if tok.kind == "num" else tok.text for tok in tokens])
