@@ -135,7 +135,12 @@ class Point:
 # fields are the arguments of the structure map that builds it (and its
 # cube-file keys), and act(ts) evaluates it at a point of the cube's box.
 # MooreCube.at clamps once; every map below sends the box into its source's
-# box, so only composition clamps again, for pieces narrower than the whole.
+# box, so only composition clamps again, and only in the coordinates where a
+# point of its box can leave a piece's box (ComposeNode._bounds): direction j
+# of the right piece, where (cut + s) - cut can round past s, and each other
+# direction where the piece is narrower than the composite.  A strict
+# composite's left piece is never clamped.  Every other clamp would give back
+# its input, bit for bit.
 #
 # columns(cols, n) is the same action on n points at once: cols holds one
 # sequence of n values per coordinate, and the result one list per output
@@ -149,6 +154,31 @@ def _clamp_columns(cols, extents) -> list[list[float]]:
         [0.0 if t < 0.0 else (r if t > r else float(t)) for t in col]
         for col, r in zip(cols, extents)
     ]
+
+
+def _cap(ts: tuple[float, ...], bounds) -> tuple[float, ...]:
+    """ts with each coordinate i of bounds' (i, r) pairs lowered to r where above it.
+
+    On a point of the box, which is >= 0 (or -0.0) everywhere, this is
+    MooreCube.clamp in those coordinates.
+    """
+    if not bounds:
+        return ts
+    ts = list(ts)
+    for i, r in bounds:
+        if ts[i] > r:
+            ts[i] = r
+    return tuple(ts)
+
+
+def _cap_columns(cols, bounds) -> list:
+    """_cap, column by column."""
+    if not bounds:
+        return cols
+    cols = list(cols)
+    for i, r in bounds:
+        cols[i] = [r if t > r else t for t in cols[i]]
+    return cols
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,14 +273,29 @@ class ComposeNode:
     direction: int
     lenient: bool
 
+    def _bounds(self, right: bool) -> list[tuple[int, float]]:
+        """(i, r) for each coordinate i in which a point of this node's box can
+        leave the right piece's box (right) or the left piece's, r being that
+        piece's extent; the rule is stated at the head of this section.
+
+        A strict composite has the left piece's extents but in direction j,
+        and its right piece may be up to tol_shape narrower; a lenient one
+        has the max of both pieces' extents.
+        """
+        k = self.direction - 1
+        pairs = enumerate(zip(self.left.shape.extents, self.right.shape.extents))
+        if right:
+            return [(i, s) for i, (r, s) in pairs if i == k or s < r]
+        return [(i, r) for i, (r, s) in pairs if i != k and r < s] if self.lenient else []
+
     def act(self, ts: tuple[float, ...]) -> Point:
         k = self.direction - 1
         a = self.left
         cut = a.shape.extents[k]
-        if ts[k] <= cut:
-            return a.provenance.act(a.clamp(ts))
-        b = self.right
-        return b.provenance.act(b.clamp(ts[:k] + (ts[k] - cut,) + ts[k + 1 :]))
+        if ts[k] <= cut:  # the left piece wins at the seam
+            return a.provenance.act(_cap(ts, self._bounds(False)) if self.lenient else ts)
+        ts = ts[:k] + (ts[k] - cut,) + ts[k + 1 :]
+        return self.right.provenance.act(_cap(ts, self._bounds(True)))
 
     def columns(self, cols, n):
         k = self.direction - 1
@@ -259,14 +304,14 @@ class ComposeNode:
         on_left = [t <= cut for t in cols[k]]  # the left piece wins at the seam
         m = sum(on_left)
         if m == n:
-            return a.provenance.columns(_clamp_columns(cols, a.shape.extents), n)
+            return a.provenance.columns(_cap_columns(cols, self._bounds(False)), n)
         if m:
             picked = [list(itertools.compress(col, on_left)) for col in cols]
-            left = a.provenance.columns(_clamp_columns(picked, a.shape.extents), m)
+            left = a.provenance.columns(_cap_columns(picked, self._bounds(False)), m)
             on_right = [not f for f in on_left]
             cols = [list(itertools.compress(col, on_right)) for col in cols]
         shifted = cols[:k] + [[t - cut for t in cols[k]]] + cols[k + 1 :]
-        right = b.provenance.columns(_clamp_columns(shifted, b.shape.extents), n - m)
+        right = b.provenance.columns(_cap_columns(shifted, self._bounds(True)), n - m)
         if not m:
             return right
         merged = []

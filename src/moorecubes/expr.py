@@ -506,7 +506,7 @@ def _emit(expr: Expr, n_vars: int) -> tuple[CodeType, tuple[float, ...]]:
 
     body = emit(expr, _LEVEL_ADD)
     source = f"lambda t{''.join(f',c{i}' for i in range(len(values)))}: {body}"
-    code = _CODE.get(source)
+    code = _recall(_CODE, source)
     if code is None:
         code = eval(compile(source, "<moore-expr>", "eval"), _NAMESPACE).__code__
         _keep(_CODE, source, code)
@@ -518,21 +518,33 @@ def _bind(code: CodeType, numbers: tuple[float, ...]) -> Callable[[Sequence[floa
     return FunctionType(code, _NAMESPACE, None, numbers)
 
 
-# The most entries _CODE and _LEAF_CODE each keep; the oldest goes first.
-# run_suite(100, 42) compiles 6,838 trees of 1,151 distinct sources: 64
-# entries leave 2,577 compile() calls, and 512 leave 1,407 but hold about a
-# megabyte of code objects.
+# The most entries _CODE and _LEAF_CODE each keep; the least recently used
+# goes first.  run_suite(100, 42) compiles 6,838 trees of 1,151 distinct
+# sources: 64 entries leave 2,259 compile() calls.
 LEAF_CODE_SIZE = 64
 # The Python source _emit generates -> its compiled code.
 _CODE: dict[str, CodeType] = {}
-# (dim, the token texts of a leaf with None for each number) -> the code
-# _emit made for the first text of that shape, and which of its numbers
-# carry a folded minus sign.  Filled by _leaf_code.
+# (dim, the text between the numbers of a leaf) -> the code _emit made for
+# the first text of that shape, and which of its numbers carry a folded
+# minus sign.  Filled by _leaf_code.
 _LEAF_CODE: dict[tuple, tuple[CodeType, tuple[bool, ...]]] = {}
+# A number of the grammar standing alone: no letter, digit, "_" or "." on
+# either side, so the digits of t12 or of 2e+ are not numbers.  In a text
+# that parses the matches are its number tokens, and a text with the same
+# text between its numbers lexes to the same tokens but for their values.
+_NUMBER = re.compile(r"(?<![\w.])([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?![\w.])")
+
+
+def _recall(table: dict, key):
+    """table[key], now the most recently used entry; None when absent."""
+    value = table.pop(key, None)
+    if value is not None:
+        table[key] = value
+    return value
 
 
 def _keep(table: dict, key, value) -> None:
-    """table[key] = value, first dropping the oldest entry of a full table."""
+    """table[key] = value, first dropping the least recently used entry of a full table."""
     if len(table) >= LEAF_CODE_SIZE:
         del table[next(iter(table))]
     table[key] = value
@@ -541,15 +553,17 @@ def _keep(table: dict, key, value) -> None:
 def _leaf_code(text: str, dim: int) -> Callable[[Sequence[float]], float]:
     """The code of compile_expr(parse_expr(text), dim), with the same bits.
 
-    Texts that differ only in their numbers share one entry of _LEAF_CODE,
-    so only the first of a shape is parsed.  A text that fails to parse or
-    compile raises what parse_expr or compile_expr raises and adds no
-    entry; a number too large for a float always goes to the parser.
+    text is split at its numbers (_NUMBER): the key of _LEAF_CODE is dim
+    and the text between them, whitespace included, and the numbers bind
+    to the stored code.  So texts that differ only in their numbers share
+    one entry, and only the first of a shape is parsed.  A text that fails
+    to parse or compile raises what parse_expr or compile_expr raises and
+    adds no entry; a number too large for a float always goes to the parser.
     """
-    tokens = _lex(text)
-    key = (dim, *[None if tok.kind == "num" else tok.text for tok in tokens])
-    numbers = [float(tok.text) for tok in tokens if tok.kind == "num"]
-    entry = _LEAF_CODE.get(key)
+    parts = _NUMBER.split(text)
+    key = (dim, *parts[::2])
+    numbers = list(map(float, parts[1::2]))
+    entry = _recall(_LEAF_CODE, key)
     if entry is not None and math.inf not in numbers:
         code, negated = entry
         return _bind(code, tuple([-v if neg else v for v, neg in zip(numbers, negated)]))

@@ -106,7 +106,7 @@ def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
     def hatch_edge(o1: float, o2: float, direction: int, length: float) -> None:
         steps = 6
         for n in range(steps + 1):
-            f = length * n / steps
+            f = length * (n / steps)  # not length * n, which can overflow
             if direction == 1:  # extent 0 along direction 1: a vertical edge
                 x, y = px(o1), py(o2 + f)
             else:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from moorecubes import Euclidean, MooreCube, make_cube
+from moorecubes import Euclidean, MooreCube, expr, make_cube
 
 # Twenty expression cases whose results are exact IEEE-754 doubles that can
 # be derived by hand. They are asserted with == (no tolerance) against both
@@ -54,6 +54,14 @@ def square_path(extent: float = 2.0) -> MooreCube:
 def line_path(offset: float = 4.0, extent: float = 3.0) -> MooreCube:
     """The running example's partner: t maps to offset + t."""
     return make_cube(1, (extent,), Euclidean(1), lambda ts: (offset + ts[0],))
+
+
+@pytest.fixture(autouse=True)
+def empty_code_tables(monkeypatch):
+    """Each test starts with empty code tables, so no count of parses or
+    compile() calls depends on the tests that ran before it."""
+    monkeypatch.setattr(expr, "_CODE", {})
+    monkeypatch.setattr(expr, "_LEAF_CODE", {})
 
 
 @pytest.fixture

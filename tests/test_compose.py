@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from moorecubes import (
     BadIndex,
+    ComposeNode,
     CompositionUndefined,
     DimensionMismatch,
     EqualityOracle,
@@ -110,6 +111,58 @@ class TestComposeLenient:
             compose_lenient(a, b, 1)
         assert exc.value.reason == "action"
         assert exc.value.witness.distance == 5.0
+
+
+class TestComposeClamps:
+    """A composite clamps a point only where it can leave a piece's box.
+
+    Each piece is a DSL leaf, which does not clamp by itself, so a missing
+    clamp shows in the values; each test plants its clamp away and sees it.
+    """
+
+    @staticmethod
+    def _reads_piece(cube, piece, points, cut):
+        """Whether cube.at and cube.coords_at give piece.at at the points, shifted back by cut in direction 1."""
+        want = [piece.at((p[0] - cut, *p[1:])).coords for p in points]
+        return [cube.at(p).coords for p in points] == want, cube.coords_at(points) == want
+
+    def test_a_lenient_left_piece_narrower_across_the_seam(self, monkeypatch):
+        a = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), ["t1 + 10*t2"])
+        b = cube_from_exprs(2, (1.0, 2.0), Euclidean(1), ["1 + 10*min(t2, 1) + t1"])
+        whole = compose_lenient(a, b, 1)
+        assert whole.shape.extents == (2.0, 2.0)
+        points = [(0.0, 1.5), (0.5, 2.0), (1.0, 1.25)]  # on a, beyond its extent 1 in direction 2
+        assert self._reads_piece(whole, a, points, 0.0) == (True, True)
+        bounds = ComposeNode._bounds
+        monkeypatch.setattr(ComposeNode, "_bounds", lambda node, right: bounds(node, right) if right else [])
+        assert self._reads_piece(whole, a, points, 0.0) == (False, False)
+
+    def test_a_strict_right_piece_tol_shape_narrower(self, monkeypatch):
+        a = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), ["t1"])
+        b = cube_from_exprs(2, (1.0, 0.75), Euclidean(1), ["1 + t1*t2"])
+        whole = compose_strict(a, b, 1, EqualityOracle(tol_shape=0.25))
+        assert whole.shape.extents == (2.0, 1.0)
+        points = [(1.5, 0.8), (2.0, 1.0), (1.25, 0.9)]  # on b, beyond its extent 0.75 in direction 2
+        assert self._reads_piece(whole, b, points, 1.0) == (True, True)
+        bounds = ComposeNode._bounds
+        monkeypatch.setattr(
+            ComposeNode, "_bounds", lambda node, right: [(i, r) for i, r in bounds(node, right) if i == 0]
+        )
+        assert self._reads_piece(whole, b, points, 1.0) == (False, False)
+
+    def test_a_right_piece_at_the_end_of_the_composite(self, monkeypatch):
+        a = cube_from_exprs(1, (0.1,), Euclidean(1), ["t1 - 0.1"])
+        b = cube_from_exprs(1, (0.2,), Euclidean(1), ["t1"])
+        whole = compose_strict(a, b, 1)
+        (end,) = whole.shape.extents
+        assert end - 0.1 > 0.2  # (cut + s) - cut rounds past s
+        points = [(end,), (end + 1.0,)]
+        assert self._reads_piece(whole, b, points, 0.1) == (True, True)
+        bounds = ComposeNode._bounds
+        monkeypatch.setattr(
+            ComposeNode, "_bounds", lambda node, right: [(i, r) for i, r in bounds(node, right) if i != 0]
+        )
+        assert self._reads_piece(whole, b, points, 0.1) == (False, False)
 
 
 class TestMultiCompose:

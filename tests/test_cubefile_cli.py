@@ -420,6 +420,15 @@ class TestCliSvg:
         _, path = square_file(tmp_path)
         assert main(["svg", "--in", str(path), "--out", str(tmp_path / "x.svg")]) == 2
 
+    def test_the_hatches_of_a_huge_degenerate_edge_stay_finite(self, tmp_path):
+        _, path = square_file(tmp_path, extent=1e308)
+        flat, art = tmp_path / "flat.json", tmp_path / "flat.svg"
+        assert main(["apply", "--in", str(path), "--op", "deg:2", "--out", str(flat)]) == 0
+        assert main(["svg", "--in", str(flat), "--scale", "1e-300", "--out", str(art)]) == 0
+        hatches = [line for line in art.read_text().splitlines() if 'stroke="#7a7a7a"' in line]
+        assert len(hatches) == 7
+        assert not any("inf" in line or "nan" in line for line in hatches)
+
     def test_composite_shows_a_seam(self, tmp_path):
         _, a = square_file(tmp_path)
         _, b = line_file(tmp_path)

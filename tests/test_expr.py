@@ -6,7 +6,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DSL_PARSE_ERRORS, DSL_REGRESSION_VECTOR
@@ -371,15 +371,41 @@ def _outcome(fn):
         return type(exc).__name__
 
 
+def _function_or_error(make):
+    """(code, repr of the bound numbers) of the function made, or the error's type, message and offset or span."""
+    try:
+        fn = make()
+    except (ParseError, EvalError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None), getattr(exc, "span", None)
+    return fn.__code__, repr(fn.__defaults__)
+
+
+# Fragments of adversarial leaf texts, joined at random: every kind of token,
+# the malformed numbers, spacing, a non-ASCII letter and digit, and {} for
+# what varies between the texts of one skeleton.  The repeats make about one
+# text in ten compile, so that later texts of its skeleton hit its entry.
+_FRAGMENTS = [
+    "{}", "{}", "{}", "{}", "{}", "0", "7", "12", ".", "e", "E", "+", "+", " + ", "-", "*", "*", "/",
+    "^", "^", ",", "t1", "t1", "t1", "t2", "t", "x", "sin", "max", "(", ")", " ", "\t", "\u00e9",
+    "\u0663", "1.", "2e+", "1e+5.5", "2t1",
+]
+# What {} stands for: mostly numbers, one too large for a float, and texts
+# that a number pattern could take for one (a non-ASCII digit, 1., 2e+).
+_LEAF_NUMBERS = st.sampled_from(
+    ["0", "3", "0.5", "12.25", "1e3", "2E-2", "1e+5", "007", "5e-324", "1e309", "\u0663", "1\u0663", "1.", "2e+"]
+)
+
+
 class TestLeafCode:
     """The table of generated code that texts of one shape share."""
 
     @given(_STEPS, _ROWS, st.integers(min_value=1, max_value=4))
     @settings(max_examples=300, deadline=None)
     def test_a_hit_has_the_bits_and_errors_of_a_fresh_parse(self, steps, rows, bound):
-        with mock.patch.object(expr, "_LEAF_CODE", {}) as table, mock.patch.object(
-            expr, "_CODE", {}
-        ) as sources, mock.patch.object(expr, "LEAF_CODE_SIZE", bound):
+        table, sources = expr._LEAF_CODE, expr._CODE
+        table.clear()  # each example starts cold; the fixture's tables serve all of them
+        sources.clear()
+        with mock.patch.object(expr, "LEAF_CODE_SIZE", bound):
             for index, numbers, dim in steps:
                 text = _TEMPLATES[index].format(*numbers)
                 before = dict(table)
@@ -409,8 +435,6 @@ class TestLeafCode:
             calls.append(args[0])
             return builtins.compile(*args)
 
-        monkeypatch.setattr(expr, "_LEAF_CODE", {})
-        monkeypatch.setattr(expr, "_CODE", {})
         monkeypatch.setattr(expr, "compile", counting, raising=False)
         texts = [f"1.5 + {k / 8!r}*(t1 + {k / 4!r}) + 0.0625*(t1 + {k / 4!r})^2" for k in range(200)]
         # Trees skip the text table, but numbers of either sign are one
@@ -423,6 +447,38 @@ class TestLeafCode:
         for leaf, piece in zip(leaves, pieces):
             tree = parse_expr(leaf) if built == "text" else leaf
             assert repr(piece.at((0.125,)).coords) == repr((eval_expr(tree, (0.125,)),))
+
+    def test_a_hit_keeps_its_entry_longest(self, monkeypatch):
+        monkeypatch.setattr(expr, "LEAF_CODE_SIZE", 2)
+        texts = ["1 + t1", "2*t1", "3 + t1", "t1^4"]  # the third is a hit on the first
+        for text in texts:
+            expr._leaf_code(text, 1)
+        assert [key[1:] for key in expr._LEAF_CODE] == [("", " + t1"), ("t1^", "")]
+        expr._CODE.clear()
+        for text in texts:  # trees skip the text table and hit the source table
+            compile_expr(parse_expr(text), 1)
+        assert list(expr._CODE) == ["lambda t,c0: c0+t[0]", "lambda t,c0: _pow(t[0],c0)"]
+
+    @given(
+        st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=10).map("".join),
+        st.lists(st.lists(_LEAF_NUMBERS, min_size=10, max_size=10), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=2),
+    )
+    @example("t{}", [["1"], ["2"]], 2)  # the digits of a variable are not a number
+    @example("{}*t1", [["3"], ["\u0663"]], 1)  # nor is a non-ASCII digit
+    @settings(max_examples=500, deadline=None)
+    def test_the_split_key_agrees_with_a_fresh_parse(self, skeleton, number_sets, dim):
+        """Texts of one skeleton, each keyed cold or after the others."""
+        table = expr._LEAF_CODE
+        table.clear()  # each example starts cold
+        expr._CODE.clear()
+        texts = [skeleton.format(*numbers) for numbers in number_sets]
+        for text in texts + texts:  # the second pass finds every shape warm
+            before = dict(table)
+            ours = _function_or_error(lambda: expr._leaf_code(text, dim))
+            assert ours == _function_or_error(lambda: compile_expr(parse_expr(text), dim).code)
+            if isinstance(ours[0], str):  # an error adds no entry
+                assert table == before
 
 
 # Per construct: an expression n + 1 levels deep, and the byte offset of its

@@ -85,7 +85,6 @@ def test_the_lab_parses_only_the_texts_it_writes(monkeypatch):
 
     monkeypatch.setattr(expr, "parse_expr", counting)
     monkeypatch.setattr(generators, "parse_expr", counting)
-    monkeypatch.setattr(expr, "_LEAF_CODE", {})  # a filled table would skip the parse
     run_suite(n_instances=3, seed=42)
     # the canonical path of 2.7.first and 2.7.second: the second t1 reuses the first's code
     assert calls == ["t1"]
