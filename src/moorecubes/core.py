@@ -192,6 +192,9 @@ class Primitive:
     batch: Callable[[list[tuple[float, ...]]], list[list[float]]] | None = field(
         default=None, compare=False, repr=False
     )
+    # The parsed trees (expr.Expr) of exprs, kept when every one was given as
+    # a tree, so that the generators rewrite them without parsing the texts.
+    trees: tuple | None = field(default=None, compare=False, repr=False)
 
     def columns(self, cols, n):
         rows = list(zip(*cols)) if cols else [()] * n
@@ -434,20 +437,11 @@ def _coerce_point(value, total_dim: int) -> Point:
     return pt
 
 
-def make_cube(
-    dim: int,
-    shape: Shape | Sequence[float],
-    space: Space,
-    evaluator: Callable[[tuple[float, ...]], object],
-    exprs: Sequence[str] | None = None,
-    batch: Callable[[list[tuple[float, ...]]], list[list[float]]] | None = None,
-) -> MooreCube:
-    """Build a cube from an evaluator defined on the clamped box.
+def _leaf(dim, shape, space, evaluator, exprs, batch, trees) -> MooreCube:
+    """The cube of a Primitive with these fields, its act coercing evaluator's values.
 
-    The evaluator may return a Point, a scalar (for 1-dimensional spaces),
-    or any float sequence of the right length.  batch, when given, must
-    give the evaluator's float coordinates for many points at once: one
-    list per coordinate, in the order of the points.
+    make_cube's leaf has None for exprs, batch and trees; a DSL leaf
+    (expr.cube_from_exprs) has its texts, its batch and maybe its trees.
     """
     if not isinstance(shape, Shape):
         shape = Shape(tuple(shape))
@@ -458,8 +452,22 @@ def make_cube(
     def act(ts: tuple[float, ...]) -> Point:
         return _coerce_point(evaluator(ts), total)
 
-    exprs = tuple(exprs) if exprs is not None else None
-    return MooreCube(shape, space, Primitive(exprs, act, batch))
+    return MooreCube(shape, space, Primitive(exprs, act, batch, trees))
+
+
+def make_cube(
+    dim: int,
+    shape: Shape | Sequence[float],
+    space: Space,
+    evaluator: Callable[[tuple[float, ...]], object],
+) -> MooreCube:
+    """Build a cube from an evaluator defined on the clamped box.
+
+    The evaluator may return a Point, a scalar (for 1-dimensional spaces),
+    or any float sequence of the right length.  The cube is opaque: a cube
+    file cannot save it, and its columns call the evaluator once per row.
+    """
+    return _leaf(dim, shape, space, evaluator, None, None, None)
 
 
 def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCube:

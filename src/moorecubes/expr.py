@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import MooreCube, Shape, Space, make_cube
+from .core import MooreCube, Shape, Space, _leaf
 from .errors import DimensionMismatch, EvalError, ParseError
 
 FUNCTIONS: dict[str, tuple[int, Callable]] = {
@@ -595,10 +595,11 @@ def cube_from_exprs(
     An Expr is kept as its to_source text, so one whose text would not read
     back (nested deeper than MAX_DEPTH, or holding a number that is not
     finite) raises the ParseError that parsing the text does.  The cube keeps
-    the texts and the generated code of compile_expr, not the trees: where
-    the code raises, the texts are parsed again and interpreted, so the
-    EvalError's span points into the text.  The code of a text comes from
-    _leaf_code, which compiles each shape of text once.
+    the texts, the generated code of compile_expr and, when every expression
+    is an Expr, the trees (Primitive.trees): where the code raises, the texts
+    are parsed again and interpreted, so the EvalError's span points into the
+    text.  The code of a text comes from _leaf_code, which compiles each
+    shape of text once.
     """
     if len(exprs) != space.total_dim:
         raise DimensionMismatch(
@@ -623,14 +624,18 @@ def _dsl_cube(
     """The cube of cube_from_exprs from (text, tree) pairs, one per coordinate.
 
     Each tree must be parse_expr(text) and is compiled as it is drawn; a
-    text without a tree gets its code from _leaf_code.
+    text without a tree gets its code from _leaf_code.  The trees are kept
+    when every text has one.
     """
     sources: list[str] = []
+    nodes: list[Expr | None] = []
     fns: list[Callable[[Sequence[float]], float]] = []
     for source, node in leaves:
         sources.append(source)
+        nodes.append(node)
         fns.append(_leaf_code(source, dim) if node is None else compile_expr(node, dim).code)
     texts = tuple(sources)
+    trees = None if None in nodes else tuple(nodes)
 
     def evaluator(ts: tuple[float, ...]) -> tuple[float, ...]:
         try:
@@ -644,4 +649,4 @@ def _dsl_cube(
         except _FAULTS:
             return _interpret(texts, rows)
 
-    return make_cube(dim, shape, space, evaluator, exprs=texts, batch=batch)
+    return _leaf(dim, shape, space, evaluator, texts, batch, trees)

@@ -18,11 +18,6 @@ P_ZERO = 0.1  # chance that a random extent is zero, where zero extents are allo
 P_TRIG = 0.25  # chance that a random coordinate expression is wrapped in sin
 
 
-# A DSL primitive with the parsed trees of its expressions, so that the
-# generators that rewrite it need not parse its texts again.
-Leaf = tuple[MooreCube, list[Expr]]
-
-
 def _num(value: int) -> Expr:
     """The tree parse_expr gives str(value)."""
     return Num(float(value)) if value >= 0 else Unary("-", Num(float(-value)))
@@ -63,31 +58,15 @@ def _polys(rng: random.Random, dim: int, count: int) -> list[tuple[str, Expr]]:
     return [_poly(rng, dim, trig=rng.random() < P_TRIG) for _ in range(count)]
 
 
-def _parsed(c: MooreCube) -> Leaf:
-    """c with the parsed expressions of a DSL primitive; TypeError for any other cube."""
-    if not isinstance(c.provenance, Primitive) or c.provenance.exprs is None:
+def _trees(c: MooreCube) -> Sequence[Expr]:
+    """The parsed expressions of a DSL primitive c; TypeError for any other cube.
+
+    They are the trees c keeps (Primitive.trees), or else its texts parsed.
+    """
+    node = c.provenance
+    if not isinstance(node, Primitive) or node.exprs is None:
         raise TypeError("the cube must be a primitive built from DSL expressions")
-    return c, [parse_expr(e) for e in c.provenance.exprs]
-
-
-def _gen_leaf(
-    rng: random.Random,
-    dim: int,
-    *,
-    space: Space | None = None,
-    shape: Shape | Sequence[float] | None = None,
-    allow_zero: bool = True,
-) -> Leaf:
-    if space is None:
-        space = Euclidean(rng.randint(1, 2))
-    if shape is None:
-        extents = tuple(
-            0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
-            for _ in range(dim)
-        )
-        shape = Shape(extents)
-    polys = _polys(rng, dim, space.total_dim)
-    return _dsl_cube(dim, shape, space, polys), [tree for _, tree in polys]
+    return node.trees if node.trees is not None else [parse_expr(e) for e in node.exprs]
 
 
 def gen_cube(
@@ -99,22 +78,15 @@ def gen_cube(
     allow_zero: bool = True,
 ) -> MooreCube:
     """A random cube: random extents and polynomial (or sine-wrapped) action."""
-    return _gen_leaf(rng, dim, space=space, shape=shape, allow_zero=allow_zero)[0]
-
-
-def _extend_chain(rng: random.Random, prev: Leaf, j: int, allow_zero: bool) -> Leaf:
-    cube, trees = prev
-    dim = cube.dim
-    if not 1 <= j <= dim:
-        raise BadIndex(f"direction {j} out of range for dimension {dim}")
-    seams = [substitute(p, j, Num(cube.shape[j - 1])) for p in trees]
-    extents = list(cube.shape.extents)
-    extents[j - 1] = (
-        0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
-    )
-    gs = [tree for _, tree in _polys(rng, dim, cube.space.total_dim)]
-    exprs = [Bin("+", Bin("-", g, substitute(g, j, Num(0.0))), seam) for g, seam in zip(gs, seams)]
-    return cube_from_exprs(dim, extents, cube.space, exprs), exprs
+    if space is None:
+        space = Euclidean(rng.randint(1, 2))
+    if shape is None:
+        extents = tuple(
+            0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
+            for _ in range(dim)
+        )
+        shape = Shape(extents)
+    return _dsl_cube(dim, shape, space, _polys(rng, dim, space.total_dim))
 
 
 def extend_chain(
@@ -130,14 +102,18 @@ def extend_chain(
     DSL primitive g - g[t_j := 0] + prev[t_j := r_j], for a random
     polynomial g: the two g terms cancel exactly at t_j = 0, leaving the face.
     """
-    return _extend_chain(rng, _parsed(prev), j, allow_zero)[0]
-
-
-def _composable_pair(
-    rng: random.Random, dim: int, j: int, space: Space | None, allow_zero: bool
-) -> tuple[Leaf, Leaf]:
-    a = _gen_leaf(rng, dim, space=space, allow_zero=allow_zero)
-    return a, _extend_chain(rng, a, j, allow_zero)
+    trees = _trees(prev)
+    dim = prev.dim
+    if not 1 <= j <= dim:
+        raise BadIndex(f"direction {j} out of range for dimension {dim}")
+    seams = [substitute(p, j, Num(prev.shape[j - 1])) for p in trees]
+    extents = list(prev.shape.extents)
+    extents[j - 1] = (
+        0.0 if allow_zero and rng.random() < P_ZERO else rng.uniform(0.5, 3.0)
+    )
+    gs = [tree for _, tree in _polys(rng, dim, prev.space.total_dim)]
+    exprs = [Bin("+", Bin("-", g, substitute(g, j, Num(0.0))), seam) for g, seam in zip(gs, seams)]
+    return cube_from_exprs(dim, extents, prev.space, exprs)
 
 
 def gen_composable_pair(
@@ -149,12 +125,20 @@ def gen_composable_pair(
     allow_zero: bool = False,
 ) -> tuple[MooreCube, MooreCube]:
     """Two cubes a, b with the upper j-face of a equal to the lower j-face of b."""
-    (a, _), (b, _) = _composable_pair(rng, dim, j, space, allow_zero)
-    return a, b
+    a = gen_cube(rng, dim, space=space, allow_zero=allow_zero)
+    return a, extend_chain(rng, a, j, allow_zero=allow_zero)
 
 
-def _subdivide(leaf: Leaf, j: int, cut: float) -> tuple[Leaf, Leaf]:
-    c, trees = leaf
+def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
+    """Split a DSL primitive c (TypeError otherwise) at cut in direction j.
+
+    Both pieces are DSL primitives.  The left one is c's own leaf on the
+    smaller box, since c.at clamps t_j to cut <= r_j there.  The right one reads c at
+    min(t_j + cut, r_j): the min is the clamp of c.at, since (r_j - cut) + cut
+    can round past r_j.  Composing the pieces back in direction j recovers
+    c's shape exactly, and past the cut it reads c at (t_j - cut) + cut.
+    """
+    trees = _trees(c)
     if not 1 <= j <= c.dim:
         raise BadIndex(f"direction {j} out of range for dimension {c.dim}")
     r = c.shape.extents[j - 1]
@@ -167,29 +151,7 @@ def _subdivide(leaf: Leaf, j: int, cut: float) -> tuple[Leaf, Leaf]:
     right_extents[j - 1] = r - cut
     left = MooreCube(Shape(left_extents), c.space, c.provenance)
     right = [substitute(e, j, shifted) for e in trees]
-    return (left, trees), (cube_from_exprs(c.dim, right_extents, c.space, right), right)
-
-
-def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
-    """Split a DSL primitive c (TypeError otherwise) at cut in direction j.
-
-    Both pieces are DSL primitives.  The left one is c's own leaf on the
-    smaller box, since c.at clamps t_j to cut <= r_j there.  The right one reads c at
-    min(t_j + cut, r_j): the min is the clamp of c.at, since (r_j - cut) + cut
-    can round past r_j.  Composing the pieces back in direction j recovers
-    c's shape exactly, and past the cut it reads c at (t_j - cut) + cut.
-    """
-    (left, _), (right, _) = _subdivide(_parsed(c), j, cut)
-    return left, right
-
-
-def _quadrants(
-    leaf: Leaf, cut1: float, cut2: float
-) -> tuple[tuple[MooreCube, MooreCube], tuple[MooreCube, MooreCube]]:
-    low1, high1 = _subdivide(leaf, 1, cut1)
-    (a, _), (b, _) = _subdivide(low1, 2, cut2)
-    (d_low, _), (d_high, _) = _subdivide(high1, 2, cut2)
-    return (a, b), (d_low, d_high)
+    return left, cube_from_exprs(c.dim, right_extents, c.space, right)
 
 
 def quadrants(
@@ -202,4 +164,5 @@ def quadrants(
     """
     if c.dim != 2:
         raise BadIndex(f"quadrants requires a 2-cube, got dimension {c.dim}")
-    return _quadrants(_parsed(c), cut1, cut2)
+    low1, high1 = subdivide(c, 1, cut1)
+    return subdivide(low1, 2, cut2), subdivide(high1, 2, cut2)

@@ -43,6 +43,7 @@ DSL_PARSE_ERRORS: list[tuple[str, int]] = [
     ("1 + )", 4),
     ("t0", 0),
     ("1.2.3", 3),
+    ("min(1, 2", 8),
 ]
 
 

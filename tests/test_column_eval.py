@@ -256,16 +256,16 @@ class TestFaultsAndNaN:
 
 
 def counting_cube(extents, rows):
-    """A 3-d make_cube leaf whose batch appends how many rows it is given to rows."""
+    """A 3-d make_cube leaf whose evaluator appends each row it is given to rows.
+
+    An opaque leaf's columns call its evaluator once per row.
+    """
 
     def act(ts):
+        rows.append(ts)
         return (ts[0] - 2 * ts[1] + ts[0] * ts[2],)
 
-    def batch(block):
-        rows.append(len(block))
-        return [[act(ts)[0] for ts in block]]
-
-    return make_cube(3, extents, E1, act, batch=batch)
+    return make_cube(3, extents, E1, act)
 
 
 class TestDistinctRows:
@@ -275,14 +275,15 @@ class TestDistinctRows:
         rows = []
         c = counting_cube((1.0, 2.0, 0.5), rows)
         assert oracle.equals_strict(c, c)
-        assert rows == [5**3, 5**3]  # the probe r + 1 clamps back to r on every axis
+        # each side reads 5^3 rows: the probe r + 1 clamps back to r on every axis
+        assert len(rows) == 2 * 5**3 and len(set(rows)) == 5**3
 
     def test_a_probe_that_clamps_apart_is_read(self):
         rows_a, rows_b = [], []
         a = counting_cube((1.0, 2.0, 0.5), rows_a)
         b = counting_cube((1.0, 2.0 + 1e-12, 0.5), rows_b)
         assert oracle.equals_strict(a, b)
-        assert rows_a == rows_b == [5 * 6 * 5]
+        assert len(rows_a) == len(rows_b) == 5 * 6 * 5
 
     @pytest.fixture(params=[1, 2, 7, 2048])
     def block(self, request, monkeypatch):

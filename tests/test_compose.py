@@ -193,6 +193,12 @@ class TestMultiCompose:
         with pytest.raises(DimensionMismatch):
             multi_compose([[c_square, c_square]])
 
+    def test_an_empty_grid_or_one_holding_a_non_cube_is_rejected(self, c_square):
+        with pytest.raises(DimensionMismatch, match="empty grid"):
+            multi_compose([])
+        with pytest.raises(DimensionMismatch, match="grid entries must be cubes"):
+            multi_compose([[c_square, 5]])
+
     def test_mixed_dimensions_rejected(self, c_square):
         with pytest.raises(DimensionMismatch):
             multi_compose([c_square, const2(1.0, 1.0)])

@@ -213,6 +213,13 @@ class TestEqualityOracle:
         eq = EqualityOracle().equals_strict(c_square, other)
         assert eq.reason == "space"
 
+    def test_action_equality_refuses_other_dims_and_spaces(self, c_square):
+        flat = make_cube(2, (1.0, 1.0), Euclidean(1), lambda ts: (0.0,))
+        other = make_cube(1, (2.0,), Euclidean(2), lambda ts: (ts[0], 0.0))
+        oracle = EqualityOracle()
+        assert oracle.equals_action(c_square, flat).reason == "dim"
+        assert oracle.equals_action(c_square, other).reason == "space"
+
     def test_witness_is_first_point_of_largest_gap(self):
         a = make_cube(1, (2.0,), Euclidean(1), lambda ts: (0.0,))
         b = make_cube(1, (2.0,), Euclidean(1), lambda ts: (1.0,))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 
@@ -29,6 +30,7 @@ from moorecubes import (
     degeneracy,
     face,
     load_cube,
+    make_cube,
     reassociate,
     render_svg,
     reverse,
@@ -167,6 +169,38 @@ class TestRoundTrip:
         with pytest.raises(CubeFileError):
             load_cube(str(path))
         assert main(["sample", "--in", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda doc: doc["provenance"].update(sign="x"),
+                "bad sign 'x' (expected '+' or '-')",
+            ),
+            (
+                lambda doc: doc["provenance"]["of"].update(expr=["t1", "t1"]),
+                "2 expression(s) for a target of dimension 1",
+            ),
+            (
+                lambda doc: doc.update(target={"kind": "euclidean", "dim": 2}),
+                "declared target Euclidean(dim=2) but reconstructed Euclidean(dim=1)",
+            ),
+        ],
+        ids=["sign", "expr-count", "target"],
+    )
+    def test_malformed_fields_exit_2(self, edit, message, tmp_path, capsys):
+        cube, _ = square_file(tmp_path)
+        path = tmp_path / "conn.json"
+        save_cube(connection(cube, 1, Sign.MINUS), str(path))
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(CubeFileError) as exc:
+            load_cube(str(path))
+        assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["sample", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_dict_round_trip_without_filesystem(self):
         cube = cube_from_exprs(1, Shape((2.0,)), Euclidean(1), ["t1^2"])
@@ -380,6 +414,17 @@ class TestCliCheckLaws:
         assert rows[0].startswith("law ")
         assert rows[1].split() == ["3.1.i", "HOLDS_STRICT", "1", "0", "0", "0"]
 
+    def test_runs_as_a_module_without_a_command_exits_2(self, monkeypatch):
+        src = os.path.dirname(os.path.dirname(moorecubes.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "moorecubes"], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2 and done.stdout == ""
+        # the same entry point in this process: __main__ calls cli.run, which exits with main's status
+        monkeypatch.setattr(sys, "argv", ["moorecubes"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("moorecubes", run_name="__main__")
+        assert exc.value.code == 2
+
 
 class TestCliSvg:
     def test_renders_a_two_cube(self, tmp_path):
@@ -587,6 +632,15 @@ class TestDepthLimit:
             data = {"kind": "compose", "direction": 1, "left": data, "right": data}
         with pytest.raises(CubeFileError, match="nested too deeply"):
             cube_from_dict({"format": FORMAT, "provenance": data})
+
+    def test_an_opaque_leaf_cannot_be_saved(self, tmp_path):
+        opaque = make_cube(1, (1.0,), Euclidean(1), lambda ts: (5.0,))
+        held = compose_strict(cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["5"]), opaque, 1)
+        for cube in (opaque, connection(held, 1, Sign.PLUS)):
+            path = tmp_path / "opaque.json"
+            with pytest.raises(CubeFileError, match="opaque action"):
+                save_cube(cube, str(path))
+            assert not path.exists()
 
     def test_long_chain_cannot_be_saved(self, tmp_path):
         piece = cube_from_exprs(1, Shape((0.5,)), Euclidean(1), ["2"])

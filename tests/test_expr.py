@@ -103,6 +103,11 @@ class TestEvaluation:
             eval_expr(parse_expr("t3"), (1.0, 2.0))
         assert "t3" in str(exc.value)
 
+    def test_unbound_name_in_a_mapping(self):
+        with pytest.raises(EvalError, match="unbound variable t2") as exc:
+            eval_expr(parse_expr("t2"), {"t1": 1.0})
+        assert exc.value.span == (0, 2)
+
     def test_fractional_power_of_negative_base(self):
         with pytest.raises(EvalError):
             eval_expr(parse_expr("(0-1)^0.5"), ())
