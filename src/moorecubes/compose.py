@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .core import ComposeNode, EqualityOracle, MooreCube, Shape
+from .core import ComposeNode, EqualityOracle, MooreCube, Shape, _extent
 from .errors import BadIndex, CompositionUndefined, DimensionMismatch
 from .ops import Sign, face
 
@@ -43,9 +43,10 @@ def _compose(
         raise CompositionUndefined(
             eq.reason, j, f"{what}: {eq.detail or eq.witness}", witness=eq.witness
         )
-    extents = [max(r, s) if lenient else r for r, s in zip(a.shape, b.shape)]
-    extents[j - 1] = a.shape[j - 1] + b.shape[j - 1]
-    return MooreCube(Shape(extents), a.space, ComposeNode(a, b, j, lenient))
+    ra, rb = a.shape.extents, b.shape.extents
+    extents = list(map(max, ra, rb)) if lenient else list(ra)
+    extents[j - 1] = _extent(ra[j - 1] + rb[j - 1])  # the sum may overflow
+    return MooreCube(Shape._of(tuple(extents)), a.space, ComposeNode(a, b, j, lenient))
 
 
 def compose_strict(

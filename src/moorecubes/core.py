@@ -23,6 +23,13 @@ from .errors import DimensionMismatch, InvalidShape
 # shapes
 
 
+def _extent(r: float) -> float:
+    """r, an extent, which must be finite and >= 0 (InvalidShape otherwise)."""
+    if not math.isfinite(r) or r < 0.0:
+        raise InvalidShape(f"extent {r!r} is not a finite non-negative number")
+    return r
+
+
 @dataclass(frozen=True, slots=True)
 class Shape:
     """Per-direction extents of a cube. Extents are finite and >= 0."""
@@ -30,11 +37,21 @@ class Shape:
     extents: tuple[float, ...]
 
     def __post_init__(self):
-        exts = tuple(float(r) for r in self.extents)
+        exts = tuple(map(float, self.extents))
         for r in exts:
-            if not math.isfinite(r) or r < 0.0:
-                raise InvalidShape(f"extent {r!r} is not a finite non-negative number")
+            _extent(r)
         object.__setattr__(self, "extents", exts)
+
+    @classmethod
+    def _of(cls, extents: tuple[float, ...]) -> "Shape":
+        """The Shape of extents that are already checked floats, not checked again.
+
+        The structure maps build their shapes this way from their sources'
+        extents, which a Shape checked when it was made.
+        """
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "extents", extents)
+        return shape
 
     def __len__(self) -> int:
         return len(self.extents)
@@ -77,7 +94,7 @@ class Euclidean:
         distance's; in 1-d both return the absolute difference.
         """
         if self.dim == 1:
-            return [abs(x - y) for x, y in zip(p[0], q[0])]
+            return list(map(abs, map(operator.sub, p[0], q[0])))
         if not self.dim:
             return [0.0] * n
         return list(map(math.hypot, *(map(operator.sub, x, y) for x, y in zip(p, q))))
@@ -380,7 +397,7 @@ class MooreCube:
 
     @property
     def dim(self) -> int:
-        return len(self.shape)
+        return len(self.shape.extents)
 
     def clamp(self, ts: Sequence[float]) -> tuple[float, ...]:
         """Clamp each coordinate into [0, r_i]."""
@@ -391,7 +408,7 @@ class MooreCube:
 
     def at(self, ts: Sequence[float]) -> Point:
         """Evaluate anywhere on the positive orthant (or below; clamped)."""
-        if len(ts) != len(self.shape):
+        if len(ts) != len(self.shape.extents):
             raise DimensionMismatch(
                 f"cube of dimension {self.dim} evaluated at {len(ts)} coordinates"
             )
@@ -429,29 +446,24 @@ def _coerce_point(value, total_dim: int) -> Point:
     elif isinstance(value, (int, float)):
         pt = Point((float(value),))
     else:
-        pt = Point(tuple(float(c) for c in value))
-    if len(pt) != total_dim:
+        pt = Point(tuple(map(float, value)))
+    if len(pt.coords) != total_dim:
         raise DimensionMismatch(
-            f"evaluator returned {len(pt)} coordinates for a space of dimension {total_dim}"
+            f"evaluator returned {len(pt.coords)} coordinates for a space of dimension {total_dim}"
         )
     return pt
 
 
-def _leaf(dim, shape, space, evaluator, exprs, batch, trees) -> MooreCube:
-    """The cube of a Primitive with these fields, its act coercing evaluator's values.
+def _leaf(dim, shape, space, act, exprs, batch, trees) -> MooreCube:
+    """The cube of a Primitive with these fields, once shape is checked against dim.
 
     make_cube's leaf has None for exprs, batch and trees; a DSL leaf
     (expr.cube_from_exprs) has its texts, its batch and maybe its trees.
     """
     if not isinstance(shape, Shape):
         shape = Shape(tuple(shape))
-    if dim != len(shape):
-        raise DimensionMismatch(f"dim {dim} does not match shape of length {len(shape)}")
-    total = space.total_dim
-
-    def act(ts: tuple[float, ...]) -> Point:
-        return _coerce_point(evaluator(ts), total)
-
+    if dim != len(shape.extents):
+        raise DimensionMismatch(f"dim {dim} does not match shape of length {len(shape.extents)}")
     return MooreCube(shape, space, Primitive(exprs, act, batch, trees))
 
 
@@ -467,7 +479,8 @@ def make_cube(
     or any float sequence of the right length.  The cube is opaque: a cube
     file cannot save it, and its columns call the evaluator once per row.
     """
-    return _leaf(dim, shape, space, evaluator, None, None, None)
+    total = space.total_dim
+    return _leaf(dim, shape, space, lambda ts: _coerce_point(evaluator(ts), total), None, None, None)
 
 
 def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCube:
@@ -490,31 +503,31 @@ SCAN_BLOCK = 2048
 _BITS = struct.Struct("2d").pack
 
 
-def _distinct_axes(a: MooreCube, b: MooreCube, axes) -> list[tuple[list, list, list]]:
-    """Each axis's grid values, one per class of equal clamped values in a and in b.
+def _distinct_axes(a: MooreCube, b: MooreCube, axes) -> tuple[list, list]:
+    """Per axis, its grid values clamped into a's box and into b's, one per class.
 
-    A class is keyed by the bits of its clamped pair (so -0.0 is not 0.0)
-    and stands for its first grid value.  Per axis: the class's position
-    in the axis, and its value clamped into a's box and into b's, in
-    grid order.
+    A class holds the grid values whose clamped pairs have the same bits
+    (so -0.0 is not 0.0) and stands for its first grid value.  The
+    oracle's axes increase, and clamping keeps their order, so a later grid
+    value repeats an earlier one's pair only where both are clamped to the
+    two extents: the classes are an axis's first values, up to the first
+    value of its last class.
     """
-    out = []
-    for axis, ra, rb in zip(axes, a.shape.extents, b.shape.extents):
-        ta = [0.0 if t < 0.0 else (ra if t > ra else float(t)) for t in axis]
-        tb = [0.0 if t < 0.0 else (rb if t > rb else float(t)) for t in axis]
+    axes_a, axes_b = _clamp_columns(axes, a.shape.extents), _clamp_columns(axes, b.shape.extents)
+    for k, (ta, tb) in enumerate(zip(axes_a, axes_b)):
         keys = list(map(_BITS, ta, tb))
-        ks = [k for k, key in enumerate(keys) if keys.index(key) == k]
-        out.append((ks, [ta[k] for k in ks], [tb[k] for k in ks]))
-    return out
+        m = keys.index(keys[-1]) + 1
+        axes_a[k], axes_b[k] = ta[:m], tb[:m]
+    return axes_a, axes_b
 
 
-def _row(axes, i: int) -> tuple:
-    """Row i of itertools.product(*axes)."""
+def _row(sizes, i: int) -> list[int]:
+    """The position in each axis of row i of itertools.product over axes of these sizes."""
     row = []
-    for axis in reversed(axes):
-        i, k = divmod(i, len(axis))
-        row.append(axis[k])
-    return tuple(reversed(row))
+    for size in reversed(sizes):
+        i, k = divmod(i, size)
+        row.append(k)
+    return row[::-1]
 
 
 def _product_columns(axes) -> list[list]:
@@ -558,21 +571,21 @@ def _blocks(a: MooreCube, b: MooreCube, axes, pts) -> Iterator[tuple]:
     every grid point of pts, so a fault raises the error, at the point,
     that evaluating a and then b at each grid point in turn would.
     """
-    positions, axes_a, axes_b = zip(*_distinct_axes(a, b, axes))
-    reps = [[axis[k] for k in ks] for axis, ks in zip(axes, positions)]
+    axes_a, axes_b = _distinct_axes(a, b, axes)
+    sizes = list(map(len, axes_a))  # a class sits where its first grid value does
     start = 0
     for n, cols_a, cols_b in _product_blocks(axes_a, axes_b):
         try:
             sides = a.provenance.columns(cols_a, n), b.provenance.columns(cols_b, n)
         except Exception:
             skip = 0
-            for axis, k in zip(axes, _row(positions, start)):
+            for axis, k in zip(axes, _row(sizes, start)):
                 skip = skip * len(axis) + k
             # One block per point, made lazily, as the scan stops at a NaN.
             for t in itertools.islice(pts, skip, None):
                 yield 1, [t].__getitem__, [[x] for x in a.at(t).coords], [[x] for x in b.at(t).coords]
             return
-        yield n, lambda k, start=start: _row(reps, start + k), *sides
+        yield n, lambda k, start=start: tuple(map(operator.getitem, axes, _row(sizes, start + k))), *sides
         start += n
 
 
@@ -603,6 +616,10 @@ class Equality:
         return self.equal
 
 
+# The outcome of every equal comparison; an Equality is immutable, so one serves all.
+_EQUAL = Equality(True, "equal")
+
+
 @dataclass(frozen=True, slots=True)
 class EqualityOracle:
     """Decides cube equality by sampling a deterministic grid.
@@ -625,18 +642,19 @@ class EqualityOracle:
                 raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
     def axis_samples(self, extent: float) -> list[float]:
+        """The increasing grid values of an axis of this extent (the scan relies on the order)."""
         s = self.samples_per_axis
         pts = [extent * (k / (s - 1)) for k in range(s)]
         pts.append(extent + BEYOND_MARGIN)
         return list(dict.fromkeys(pts))
 
     def _axes(self, shape: Shape) -> list[list[float]]:
-        return [self.axis_samples(r) for r in shape]
+        return [self.axis_samples(r) for r in shape.extents]
 
     def _union_axes(self, a: Shape, b: Shape) -> list[list[float]]:
         return [
             sorted(set(self.axis_samples(ra)) | set(self.axis_samples(rb)))
-            for ra, rb in zip(a, b)
+            for ra, rb in zip(a.extents, b.extents)
         ]
 
     def grid(self, shape: Shape) -> Iterator[tuple[float, ...]]:
@@ -646,8 +664,9 @@ class EqualityOracle:
         return itertools.product(*self._union_axes(a, b))
 
     def shapes_equal(self, a: Shape, b: Shape) -> bool:
-        return len(a) == len(b) and all(
-            abs(ra - rb) <= self.tol_shape for ra, rb in zip(a, b)
+        ra, rb = a.extents, b.extents
+        return ra == rb or len(ra) == len(rb) and all(
+            abs(x - y) <= self.tol_shape for x, y in zip(ra, rb)
         )
 
     def _scan(self, a: MooreCube, b: MooreCube, axes, pts) -> Equality:
@@ -660,8 +679,8 @@ class EqualityOracle:
         if a.dim:
             distances = a.space.distances
             worst = -1.0
-            for n, point, pa, pb in _blocks(a, b, axes, pts):
-                ds = distances(pa, pb, n)
+            for n, point, cols_a, cols_b in _blocks(a, b, axes, pts):
+                ds = distances(cols_a, cols_b, n)
                 total = sum(ds)
                 if total != total:  # a NaN: the first NaN point is the witness
                     k = next(k for k, d in enumerate(ds) if d != d)
@@ -670,17 +689,20 @@ class EqualityOracle:
                     if not ds[k] > worst:
                         continue
                 worst = ds[k]
-                found = point(k), tuple(col[k] for col in pa), tuple(col[k] for col in pb)
+                found = point, k, cols_a, cols_b
                 if worst != worst:
                     break
             collections.deque(pts, 0)
+            if worst <= self.tol_val:
+                return _EQUAL
+            point, k, cols_a, cols_b = found  # tuples are built for the witness only
+            t, pa, pb = point(k), tuple(col[k] for col in cols_a), tuple(col[k] for col in cols_b)
         else:  # the one point (), cheaper alone; clamping it changes nothing
             (t,) = pts
-            found = t, a.provenance.act(t).coords, b.provenance.act(t).coords
-            worst = a.space.distance(found[1], found[2])
-        if worst <= self.tol_val:
-            return Equality(True, "equal")
-        t, pa, pb = found
+            pa, pb = a.provenance.act(t).coords, b.provenance.act(t).coords
+            worst = a.space.distance(pa, pb)
+            if worst <= self.tol_val:
+                return _EQUAL
         return Equality(False, "action", EqualityWitness(t, Point(pa), Point(pb), worst))
 
     def equals_strict(self, a: MooreCube, b: MooreCube) -> Equality:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import MooreCube, Shape, Space, _leaf
+from .core import MooreCube, Point, Shape, Space, _leaf
 from .errors import DimensionMismatch, EvalError, ParseError
 
 FUNCTIONS: dict[str, tuple[int, Callable]] = {
@@ -621,7 +621,7 @@ def _text_and_tree(e: str | Expr) -> tuple[str, Expr | None]:
 def _dsl_cube(
     dim: int, shape: Shape | Sequence[float], space: Space, leaves: Iterable[tuple[str, Expr | None]]
 ) -> MooreCube:
-    """The cube of cube_from_exprs from (text, tree) pairs, one per coordinate.
+    """The cube of cube_from_exprs from (text, tree) pairs, one per coordinate of space.
 
     Each tree must be parse_expr(text) and is compiled as it is drawn; a
     text without a tree gets its code from _leaf_code.  The trees are kept
@@ -637,11 +637,12 @@ def _dsl_cube(
     texts = tuple(sources)
     trees = None if None in nodes else tuple(nodes)
 
-    def evaluator(ts: tuple[float, ...]) -> tuple[float, ...]:
+    def act(ts: tuple[float, ...]) -> Point:
         try:
-            return tuple([fn(ts) for fn in fns])
+            values = [fn(ts) for fn in fns]
         except _FAULTS:
-            return tuple(col[0] for col in _interpret(texts, [ts]))
+            values = [col[0] for col in _interpret(texts, [ts])]
+        return Point(tuple(map(float, values)))
 
     def batch(rows: list[tuple[float, ...]]) -> list[list[float]]:
         try:
@@ -649,4 +650,4 @@ def _dsl_cube(
         except _FAULTS:
             return _interpret(texts, rows)
 
-    return _leaf(dim, shape, space, evaluator, texts, batch, trees)
+    return _leaf(dim, shape, space, act, texts, batch, trees)

@@ -42,7 +42,7 @@ def face(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     """The (n-1)-cube obtained by fixing t_i at 0 (minus) or r_i (plus)."""
     _check_index(i, c.dim, "face")
     k = i - 1
-    shape = Shape(c.shape.extents[:k] + c.shape.extents[k + 1 :])
+    shape = Shape._of(c.shape.extents[:k] + c.shape.extents[k + 1 :])
     return MooreCube(shape, c.space, FaceNode(c, i, sign.value))
 
 
@@ -50,7 +50,7 @@ def degeneracy(c: MooreCube, i: int) -> MooreCube:
     """The (n+1)-cube that ignores a new zero-extent direction at slot i."""
     _check_index(i, c.dim + 1, "degeneracy")
     k = i - 1
-    shape = Shape(c.shape.extents[:k] + (0.0,) + c.shape.extents[k:])
+    shape = Shape._of(c.shape.extents[:k] + (0.0,) + c.shape.extents[k:])
     return MooreCube(shape, c.space, DegeneracyNode(c, i))
 
 
@@ -64,8 +64,8 @@ def connection(c: MooreCube, i: int, sign: Sign) -> MooreCube:
         raise BadIndex("connection needs a cube of dimension >= 1")
     _check_index(i, c.dim, "connection")
     k = i - 1
-    r = c.shape[k]
-    shape = Shape(c.shape.extents[:k] + (r, r) + c.shape.extents[k + 1 :])
+    r = c.shape.extents[k]
+    shape = Shape._of(c.shape.extents[:k] + (r, r) + c.shape.extents[k + 1 :])
     return MooreCube(shape, c.space, ConnectionNode(c, i, sign.value))
 
 

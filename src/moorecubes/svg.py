@@ -9,7 +9,10 @@ rightwards and direction 2 upwards.  Construction history adds cues:
   elbow polylines (cornered on the diagonal, opening toward the origin
   for the max variant and away from it for the min variant), and any
   seams of the composed source path appear in both directions;
-* a degeneracy of a path hatches the degenerate edge;
+* a tensor of two paths draws each path's seams across the other's
+  direction, and a tensor of a point and a 2-cube draws the 2-cube's cues;
+* a degeneracy of a path hatches the degenerate edge and marks the seams
+  of the composed path on it with dashed ticks as long as the hatches;
 * a reversed cube gets an arrow pointing backwards along its direction.
 """
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .core import (
     MooreCube,
     ReassociateNode,
     ReverseNode,
+    TensorNode,
 )
 from .errors import DimensionMismatch, MooreError
 from .ops import Sign
@@ -53,14 +57,24 @@ def _polyline(points: list[tuple[float, float]], color: str, *, dash: str | None
     return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"{dash_attr} />'
 
 
-def _compose_cuts(cube: MooreCube, offset: float, out: list[float]) -> None:
-    """Cut positions of a 1-cube's compose tree, in its own coordinates."""
-    node = cube.provenance
-    if isinstance(node, ComposeNode):
-        cut = offset + node.left.shape[node.direction - 1]
-        out.append(cut)
-        _compose_cuts(node.left, offset, out)
-        _compose_cuts(node.right, cut, out)
+def _compose_cuts(cube: MooreCube) -> list[float]:
+    """Cut positions of a 1-cube's compose tree, in its own coordinates.
+
+    Each cut comes before the cuts of its left piece, and those before the
+    cuts of its right piece.
+    """
+    out: list[float] = []
+
+    def walk(c: MooreCube, offset: float) -> None:
+        node = c.provenance
+        if isinstance(node, ComposeNode):
+            cut = offset + node.left.shape.extents[node.direction - 1]
+            out.append(cut)
+            walk(node.left, offset)
+            walk(node.right, cut)
+
+    walk(cube, 0.0)
+    return out
 
 
 def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
@@ -127,44 +141,54 @@ def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
             body.append(_line(x, y2, x - 4, y2 + 6, _SEAM, width=1.8))
             body.append(_line(x, y2, x + 4, y2 + 6, _SEAM, width=1.8))
 
+    def seams(o1: float, o2: float, w: float, h: float, direction: int, cuts: list[float]) -> None:
+        """Dashed lines across the box at (o1, o2) of extents (w, h) at each cut along direction."""
+        for cut in cuts:
+            if direction == 1:
+                body.append(_line(px(o1 + cut), py(o2), px(o1 + cut), py(o2 + h), _SEAM, dash="6 4"))
+            else:
+                body.append(_line(px(o1), py(o2 + cut), px(o1 + w), py(o2 + cut), _SEAM, dash="6 4"))
+
     def walk(c: MooreCube, o1: float, o2: float) -> None:
         node = c.provenance
         w, h = c.shape.extents
         if isinstance(node, ComposeNode):
-            cut = node.left.shape[node.direction - 1]
+            cut = node.left.shape.extents[node.direction - 1]
+            seams(o1, o2, w, h, node.direction, [cut])
+            walk(node.left, o1, o2)
             if node.direction == 1:
-                body.append(
-                    _line(px(o1 + cut), py(o2), px(o1 + cut), py(o2 + h), _SEAM, dash="6 4")
-                )
-                walk(node.left, o1, o2)
                 walk(node.right, o1 + cut, o2)
             else:
-                body.append(
-                    _line(px(o1), py(o2 + cut), px(o1 + w), py(o2 + cut), _SEAM, dash="6 4")
-                )
-                walk(node.left, o1, o2)
                 walk(node.right, o1, o2 + cut)
         elif isinstance(node, ConnectionNode) and node.source.dim == 1:
-            cuts: list[float] = []
-            _compose_cuts(node.source, 0.0, cuts)
-            for cut in cuts:
-                body.append(
-                    _line(px(o1 + cut), py(o2), px(o1 + cut), py(o2 + h), _SEAM, dash="6 4")
-                )
-                body.append(
-                    _line(px(o1), py(o2 + cut), px(o1 + w), py(o2 + cut), _SEAM, dash="6 4")
-                )
+            cuts = _compose_cuts(node.source)
+            for cut in cuts:  # each seam across direction 1, then across direction 2
+                seams(o1, o2, w, h, 1, [cut])
+                seams(o1, o2, w, h, 2, [cut])
             elbows(o1, o2, w, node.sign)
+        elif isinstance(node, TensorNode):
+            if node.left.dim == 1:  # two paths: the left one runs along direction 1
+                seams(o1, o2, w, h, 1, _compose_cuts(node.left))
+                seams(o1, o2, w, h, 2, _compose_cuts(node.right))
+            else:  # a point and a 2-cube, which has the tensor's box
+                walk(node.left if node.left.dim else node.right, o1, o2)
         elif isinstance(node, DegeneracyNode) and node.source.dim == 1:
-            if node.i == 1:
+            cuts = _compose_cuts(node.source)
+            if node.i == 1:  # extent 0 along direction 1: the path runs up a vertical edge
                 hatch_edge(o1, o2, 1, h)
+                for cut in cuts:
+                    y = py(o2 + cut)
+                    body.append(_line(px(o1) - 4, y, px(o1) + 4, y, _SEAM, dash="6 4"))
             else:
                 hatch_edge(o1, o2, 2, w)
+                for cut in cuts:
+                    x = px(o1 + cut)
+                    body.append(_line(x, py(o2) + 4, x, py(o2) - 4, _SEAM, dash="6 4"))
         elif isinstance(node, ReverseNode):
             arrow(o1, o2, w, h, node.i)
         elif isinstance(node, ReassociateNode):
             walk(node.source, o1, o2)
-        # primitives and tensors draw nothing inside
+        # primitives and the other structure maps draw nothing inside
 
     walk(cube, 0.0, 0.0)
 

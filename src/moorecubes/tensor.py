@@ -7,7 +7,7 @@ from .errors import DimensionMismatch
 
 def tensor(a: MooreCube, b: MooreCube) -> MooreCube:
     """The (m+n)-cube running a on the first m directions and b on the rest."""
-    shape = Shape(a.shape.extents + b.shape.extents)
+    shape = Shape._of(a.shape.extents + b.shape.extents)
     return MooreCube(shape, Product(a.space, b.space), TensorNode(a, b))
 
 

@@ -15,6 +15,7 @@ from moorecubes import (
     DimensionMismatch,
     EqualityOracle,
     Euclidean,
+    InvalidShape,
     Sign,
     compose_lenient,
     compose_strict,
@@ -85,6 +86,14 @@ class TestComposeStrict:
         h = compose_strict(ident, c_square, 1)
         assert h.shape.extents == c_square.shape.extents
         assert oracle.equals_strict(h, c_square)
+
+
+@pytest.mark.parametrize("compose", [compose_strict, compose_lenient])
+def test_a_composite_extent_that_overflows_is_refused(compose):
+    huge = cube_from_exprs(1, (1e308,), Euclidean(1), ["1"])
+    with pytest.raises(InvalidShape, match="^extent inf is not a finite non-negative number$"):
+        compose(huge, huge, 1)
+    assert compose(huge, cube_from_exprs(1, (0.0,), Euclidean(1), ["1"]), 1).shape.extents == (1e308,)
 
 
 class TestComposeLenient:

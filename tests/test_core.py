@@ -127,6 +127,11 @@ class TestMooreCube:
         with pytest.raises(DimensionMismatch):
             c.at((0.5,))
 
+    def test_a_dsl_leaf_acts_with_float_coordinates(self):
+        # the action is not clamped, so an int coordinate reaches the leaf's code
+        value = cube_from_exprs(1, (1.0,), Euclidean(1), ["t1"]).action((1,))
+        assert value == Point((1.0,)) and type(value.coords[0]) is float
+
     def test_point_cube_has_dimension_zero(self):
         p = point_cube(3.0, Euclidean(1))
         assert p.dim == 0
@@ -231,6 +236,14 @@ class TestEqualityOracle:
     def test_equality_is_truthy_protocol(self):
         assert bool(Equality(True, "equal"))
         assert not bool(Equality(False, "action"))
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_an_equal_comparison_reads_equal_with_no_witness(self, dim):
+        a = cube_from_exprs(dim, (1.0,) * dim, Euclidean(1), ["2"])
+        oracle = EqualityOracle()
+        for eq in (oracle.equals_strict(a, a), oracle.equals_action(a, a)):
+            assert eq == Equality(True, "equal")
+            assert eq.witness is None and eq.detail is None
 
     @given(extents_st)
     @settings(max_examples=40)

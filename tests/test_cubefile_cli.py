@@ -290,6 +290,15 @@ class TestCliCompose:
         err = capsys.readouterr().err
         assert "composition undefined" in err and "witness" in err
 
+    @pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+    def test_a_composite_extent_that_overflows_exits_2(self, lenient, tmp_path, capsys):
+        path, out = tmp_path / "huge.json", tmp_path / "sum.json"
+        save_cube(cube_from_exprs(1, Shape((1e308,)), Euclidean(1), ["1"]), str(path))
+        argv = ["compose", "--a", str(path), "--b", str(path), "--dir", "1", "--out", str(out)]
+        assert main(argv + lenient) == 2
+        assert capsys.readouterr().err == "error: extent inf is not a finite non-negative number\n"
+        assert not out.exists()
+
     def test_lenient_flag_rescues_shape_mismatch(self, tmp_path):
         a = cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t1"])
         b = cube_from_exprs(1, Shape((1.5,)), Euclidean(1), ["1 + t1"])

@@ -55,7 +55,7 @@ def test_frozen_oracle_subclass_constructs_without_arguments():
 
 def test_an_oracle_subclass_sees_the_grid_of_every_comparison():
     """lawbench counts grid points by wrapping grid and union_grid."""
-    from moorecubes import Euclidean, cube_from_exprs
+    from moorecubes import Euclidean, Shape, compose_strict, cube_from_exprs
 
     seen = []
 
@@ -73,10 +73,20 @@ def test_an_oracle_subclass_sees_the_grid_of_every_comparison():
             return walk(super().union_grid(a, b))
 
     plain, counting = core.EqualityOracle(), Counting()
-    a = cube_from_exprs(2, (1.0, 2.0), Euclidean(1), ["t1*t2"])
-    b = cube_from_exprs(2, (1.5, 2.0), Euclidean(1), ["t1*t2 + t1"])
-    nan = cube_from_exprs(2, (1.0, 2.0), Euclidean(1), ["t1*t2*1e308*10 - t1*t2*1e308*10"])
-    for x, y in ((a, a), (a, nan)):
+    e1 = Euclidean(1)
+    a = cube_from_exprs(2, (1.0, 2.0), e1, ["t1*t2"])
+    b = cube_from_exprs(2, (1.5, 2.0), e1, ["t1*t2 + t1"])
+    nan = cube_from_exprs(2, (1.0, 2.0), e1, ["t1*t2*1e308*10 - t1*t2*1e308*10"])
+    point, other_point = cube_from_exprs(0, (), e1, ["3"]), cube_from_exprs(0, (), e1, ["4"])
+    line = cube_from_exprs(1, (2.0,), e1, ["t1^2"])
+    # equal up to the probe, which clamps back to 2: 5 rows read, 6 points seen
+    same_line = cube_from_exprs(1, (2.0,), e1, ["t1*t1"])
+    bent_line = cube_from_exprs(1, (2.0,), e1, ["t1^2 + max(t1 - 1, 0)"])
+    strict_pairs = (
+        (a, a), (a, nan), (point, point), (point, other_point),
+        (line, same_line), (line, bent_line),
+    )
+    for x, y in strict_pairs:
         seen.clear()
         assert repr(counting.equals_strict(x, y)) == repr(plain.equals_strict(x, y))
         assert seen == list(plain.grid(x.shape))
@@ -84,3 +94,11 @@ def test_an_oracle_subclass_sees_the_grid_of_every_comparison():
         seen.clear()
         assert repr(counting.equals_action(x, y)) == repr(plain.equals_action(x, y))
         assert seen == list(plain.union_grid(x.shape, y.shape))
+    # a composition checks its faces on the whole grid of the face
+    right = cube_from_exprs(2, (0.5, 2.0), e1, ["(t1 + 1)*t2"])
+    line_on = cube_from_exprs(1, (1.0,), e1, ["4 + t1"])
+    for pieces, face_shape in (((a, right), Shape((2.0,))), ((line, line_on), Shape(()))):
+        seen.clear()
+        composite = compose_strict(*pieces, 1, counting)
+        assert seen == list(plain.grid(face_shape)) and len(seen) in (6, 1)
+        assert repr(composite) == repr(compose_strict(*pieces, 1))

@@ -103,3 +103,57 @@ def test_a_degeneracy_in_direction_1_hatches_the_vertical_edge():
 def test_a_reassociated_tensor_renders_as_the_tensor():
     pair = tensor(COMPOSED_PATH, path(2.0, "t1^2"))
     assert render_svg(reassociate(pair, Product(E1, E1))) == render_svg(pair)
+
+
+# two seams: at 3 (the outer cut), then at 1 (the cut inside the left piece)
+LONGER_PATH = compose_strict(COMPOSED_PATH, path(1.0, "3 + t1"), 1)
+PLAIN_PATH = path(2.0, "t1^2")
+
+
+@pytest.mark.parametrize(
+    "left,right,seams",
+    [
+        # shape (3, 2): the seam at t1 = 1 runs up the full height
+        (COMPOSED_PATH, PLAIN_PATH, [(116, 196, 116, 36)]),
+        # shape (2, 3): the seam at t2 = 1 runs across the full width
+        (PLAIN_PATH, COMPOSED_PATH, [(36, 196, 196, 196)]),
+        # shape (2, 4): seams at t2 = 3, then at t2 = 1
+        (PLAIN_PATH, LONGER_PATH, [(36, 116, 196, 116), (36, 276, 196, 276)]),
+        # shape (3, 3): each factor's seam, direction 1 first
+        (COMPOSED_PATH, COMPOSED_PATH, [(116, 276, 116, 36), (36, 196, 276, 196)]),
+        (PLAIN_PATH, PLAIN_PATH, []),
+    ],
+)
+def test_a_tensor_of_two_paths_draws_each_paths_seams(left, right, seams):
+    svg = render_svg(tensor(left, right))
+    assert lines(svg, SEAM, dashed=True) == seams
+    assert lines(svg, SEAM, dashed=False) == []
+
+
+def test_a_tensor_of_a_point_and_a_2_cube_draws_the_2_cubes_seams():
+    low = cube_from_exprs(2, (2.0, 1.0), E1, ["t1"])
+    high = cube_from_exprs(2, (2.0, 0.5), E1, ["t1"])
+    square = compose_strict(low, high, 2)  # shape (2, 1.5), seam at t2 = 1
+    point = cube_from_exprs(0, (), E1, ["7"])
+    for cube in (tensor(point, square), tensor(square, point)):
+        assert lines(render_svg(cube), SEAM, dashed=True) == [(36, 76, 196, 76)]
+
+
+@pytest.mark.parametrize(
+    "i,source,ticks",
+    [
+        # shape (0, 3): the path runs up the edge x = 36; its seam at t2 = 1
+        # is a tick across the edge, as long as a hatch (4 px either side)
+        (1, COMPOSED_PATH, [(32, 196, 40, 196)]),
+        # shape (3, 0): the edge is drawn at mid-height of the 2 px box, y = 37
+        (2, COMPOSED_PATH, [(116, 41, 116, 33)]),
+        # seams at 3, then at 1, of a path of length 4
+        (1, LONGER_PATH, [(32, 116, 40, 116), (32, 276, 40, 276)]),
+        (2, LONGER_PATH, [(276, 41, 276, 33), (116, 41, 116, 33)]),
+        (1, PLAIN_PATH, []),
+    ],
+)
+def test_a_degeneracy_of_a_composed_path_marks_its_seams_on_the_edge(i, source, ticks):
+    svg = render_svg(degeneracy(source, i))
+    assert lines(svg, SEAM, dashed=True) == ticks
+    assert len(lines(svg, HATCH, dashed=False)) == 7  # the hatches are still drawn
