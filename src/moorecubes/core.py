@@ -152,12 +152,10 @@ class Point:
 # fields are the arguments of the structure map that builds it (and its
 # cube-file keys), and act(ts) evaluates it at a point of the cube's box.
 # MooreCube.at clamps once; every map below sends the box into its source's
-# box, so only composition clamps again, and only in the coordinates where a
-# point of its box can leave a piece's box (ComposeNode._bounds): direction j
-# of the right piece, where (cut + s) - cut can round past s, and each other
-# direction where the piece is narrower than the composite.  A strict
-# composite's left piece is never clamped.  Every other clamp would give back
-# its input, bit for bit.
+# box, so only composition clamps again: it caps a point to the box of the
+# piece it reaches, the right piece always and the left piece only when the
+# composite is lenient.  On a point of the composite's box each such cap is
+# the identity except where the point can leave the piece's box.
 #
 # columns(cols, n) is the same action on n points at once: cols holds one
 # sequence of n values per coordinate, and the result one list per output
@@ -173,29 +171,18 @@ def _clamp_columns(cols, extents) -> list[list[float]]:
     ]
 
 
-def _cap(ts: tuple[float, ...], bounds) -> tuple[float, ...]:
-    """ts with each coordinate i of bounds' (i, r) pairs lowered to r where above it.
+def _cap(ts: tuple[float, ...], extents) -> tuple[float, ...]:
+    """ts with each coordinate lowered to its extent where above it.
 
     On a point of the box, which is >= 0 (or -0.0) everywhere, this is
-    MooreCube.clamp in those coordinates.
+    MooreCube.clamp; a -0.0 or NaN coordinate is kept as it is.
     """
-    if not bounds:
-        return ts
-    ts = list(ts)
-    for i, r in bounds:
-        if ts[i] > r:
-            ts[i] = r
-    return tuple(ts)
+    return tuple([r if t > r else t for t, r in zip(ts, extents)])
 
 
-def _cap_columns(cols, bounds) -> list:
+def _cap_columns(cols, extents) -> list:
     """_cap, column by column."""
-    if not bounds:
-        return cols
-    cols = list(cols)
-    for i, r in bounds:
-        cols[i] = [r if t > r else t for t in cols[i]]
-    return cols
+    return [[r if t > r else t for t in col] for col, r in zip(cols, extents)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,21 +190,17 @@ class Primitive:
     """Leaf node; exprs holds the defining source strings when known."""
 
     exprs: tuple[str, ...] | None
-    act: Callable[[tuple[float, ...]], Point] = field(compare=False, repr=False)
-    # Rows of the box -> one list of values per output coordinate; when None,
-    # columns calls act once per row.
-    batch: Callable[[list[tuple[float, ...]]], list[list[float]]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    # Rows of the box -> one sequence of values per output coordinate.
+    batch: Callable[[list[tuple[float, ...]]], list] = field(compare=False, repr=False)
     # The parsed trees (expr.Expr) of exprs, kept when every one was given as
     # a tree, so that the generators rewrite them without parsing the texts.
     trees: tuple | None = field(default=None, compare=False, repr=False)
 
+    def act(self, ts: tuple[float, ...]) -> Point:
+        return Point(tuple([float(col[0]) for col in self.batch([ts])]))
+
     def columns(self, cols, n):
-        rows = list(zip(*cols)) if cols else [()] * n
-        if self.batch is not None:
-            return self.batch(rows)
-        return list(zip(*[self.act(ts).coords for ts in rows]))
+        return self.batch(list(zip(*cols)) if cols else [()] * n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,29 +276,14 @@ class ComposeNode:
     direction: int
     lenient: bool
 
-    def _bounds(self, right: bool) -> list[tuple[int, float]]:
-        """(i, r) for each coordinate i in which a point of this node's box can
-        leave the right piece's box (right) or the left piece's, r being that
-        piece's extent; the rule is stated at the head of this section.
-
-        A strict composite has the left piece's extents but in direction j,
-        and its right piece may be up to tol_shape narrower; a lenient one
-        has the max of both pieces' extents.
-        """
-        k = self.direction - 1
-        pairs = enumerate(zip(self.left.shape.extents, self.right.shape.extents))
-        if right:
-            return [(i, s) for i, (r, s) in pairs if i == k or s < r]
-        return [(i, r) for i, (r, s) in pairs if i != k and r < s] if self.lenient else []
-
     def act(self, ts: tuple[float, ...]) -> Point:
         k = self.direction - 1
         a = self.left
         cut = a.shape.extents[k]
         if ts[k] <= cut:  # the left piece wins at the seam
-            return a.provenance.act(_cap(ts, self._bounds(False)) if self.lenient else ts)
+            return a.provenance.act(_cap(ts, a.shape.extents) if self.lenient else ts)
         ts = ts[:k] + (ts[k] - cut,) + ts[k + 1 :]
-        return self.right.provenance.act(_cap(ts, self._bounds(True)))
+        return self.right.provenance.act(_cap(ts, self.right.shape.extents))
 
     def columns(self, cols, n):
         k = self.direction - 1
@@ -324,14 +292,14 @@ class ComposeNode:
         on_left = [t <= cut for t in cols[k]]  # the left piece wins at the seam
         m = sum(on_left)
         if m == n:
-            return a.provenance.columns(_cap_columns(cols, self._bounds(False)), n)
+            return a.provenance.columns(_cap_columns(cols, a.shape.extents) if self.lenient else cols, n)
         if m:
             picked = [list(itertools.compress(col, on_left)) for col in cols]
-            left = a.provenance.columns(_cap_columns(picked, self._bounds(False)), m)
+            left = a.provenance.columns(_cap_columns(picked, a.shape.extents) if self.lenient else picked, m)
             on_right = [not f for f in on_left]
             cols = [list(itertools.compress(col, on_right)) for col in cols]
         shifted = cols[:k] + [[t - cut for t in cols[k]]] + cols[k + 1 :]
-        right = b.provenance.columns(_cap_columns(shifted, self._bounds(True)), n - m)
+        right = b.provenance.columns(_cap_columns(shifted, b.shape.extents), n - m)
         if not m:
             return right
         merged = []
@@ -421,7 +389,7 @@ class MooreCube:
         come from a later point than the first one at which at would fail.
         """
         n = len(points)
-        out = _columns_at(self, list(zip(*points)), n)
+        out = self.provenance.columns(_clamp_columns(list(zip(*points)), self.shape.extents), n)
         return list(zip(*out)) if out else [()] * n
 
     def action(self, ts: Sequence[float]) -> Point:
@@ -433,11 +401,6 @@ class MooreCube:
 
     def __repr__(self) -> str:
         return f"MooreCube(dim={self.dim}, shape={self.shape.extents}, space={self.space})"
-
-
-def _columns_at(cube: MooreCube, cols, n: int) -> list[list[float]]:
-    """The coordinate columns of cube.at on n points given as columns."""
-    return cube.provenance.columns(_clamp_columns(cols, cube.shape.extents), n)
 
 
 def _coerce_point(value, total_dim: int) -> Point:
@@ -454,17 +417,17 @@ def _coerce_point(value, total_dim: int) -> Point:
     return pt
 
 
-def _leaf(dim, shape, space, act, exprs, batch, trees) -> MooreCube:
+def _leaf(dim, shape, space, exprs, batch, trees) -> MooreCube:
     """The cube of a Primitive with these fields, once shape is checked against dim.
 
-    make_cube's leaf has None for exprs, batch and trees; a DSL leaf
-    (expr.cube_from_exprs) has its texts, its batch and maybe its trees.
+    make_cube's leaf has None for exprs and trees; a DSL leaf
+    (expr.cube_from_exprs) has its texts and maybe its trees.
     """
     if not isinstance(shape, Shape):
         shape = Shape(tuple(shape))
     if dim != len(shape.extents):
         raise DimensionMismatch(f"dim {dim} does not match shape of length {len(shape.extents)}")
-    return MooreCube(shape, space, Primitive(exprs, act, batch, trees))
+    return MooreCube(shape, space, Primitive(exprs, batch, trees))
 
 
 def make_cube(
@@ -480,7 +443,11 @@ def make_cube(
     file cannot save it, and its columns call the evaluator once per row.
     """
     total = space.total_dim
-    return _leaf(dim, shape, space, lambda ts: _coerce_point(evaluator(ts), total), None, None, None)
+
+    def batch(rows):
+        return list(zip(*[_coerce_point(evaluator(ts), total).coords for ts in rows]))
+
+    return _leaf(dim, shape, space, None, batch, None)
 
 
 def point_cube(value: Point | Sequence[float] | float, space: Space) -> MooreCube:
@@ -521,13 +488,13 @@ def _distinct_axes(a: MooreCube, b: MooreCube, axes) -> tuple[list, list]:
     return axes_a, axes_b
 
 
-def _row(sizes, i: int) -> list[int]:
-    """The position in each axis of row i of itertools.product over axes of these sizes."""
+def _point(axes, sizes, i: int) -> tuple[float, ...]:
+    """Row i of itertools.product over the first sizes[j] values of each axes[j]."""
     row = []
-    for size in reversed(sizes):
+    for axis, size in zip(axes[::-1], sizes[::-1]):
         i, k = divmod(i, size)
-        row.append(k)
-    return row[::-1]
+        row.append(axis[k])
+    return tuple(row[::-1])
 
 
 def _product_columns(axes) -> list[list]:
@@ -559,17 +526,17 @@ def _product_blocks(*sides) -> Iterator[tuple]:
             yield m, *([[axes[0][k]] * m] + c for axes, c in zip(sides, cols))
 
 
-def _blocks(a: MooreCube, b: MooreCube, axes, pts) -> Iterator[tuple]:
+def _blocks(a: MooreCube, b: MooreCube, axes) -> Iterator[tuple]:
     """(n, point, a's columns, b's columns) for blocks of grid rows, in grid order.
 
-    pts is itertools.product(*axes), the grid.  Each side is evaluated on
+    The grid is itertools.product(*axes).  Each side is evaluated on
     columns once per distinct clamped row, the row of each class's first
     grid values: every grid point reads what its row reads, and no point
     comes before its row, so the first farthest (or NaN) point of the grid
-    is such a row.  point(k) is the grid point of the block's row k.  A
-    block that raises is replayed with at, from its first row on through
-    every grid point of pts, so a fault raises the error, at the point,
-    that evaluating a and then b at each grid point in turn would.
+    is such a row, and so is the first point at which evaluating a and then
+    b at each grid point in turn would fault.  point(k) is the grid point
+    of the block's row k.  A block that raises is evaluated again a row at
+    a time, a and then b on each row, so a fault raises that error.
     """
     axes_a, axes_b = _distinct_axes(a, b, axes)
     sizes = list(map(len, axes_a))  # a class sits where its first grid value does
@@ -578,14 +545,13 @@ def _blocks(a: MooreCube, b: MooreCube, axes, pts) -> Iterator[tuple]:
         try:
             sides = a.provenance.columns(cols_a, n), b.provenance.columns(cols_b, n)
         except Exception:
-            skip = 0
-            for axis, k in zip(axes, _row(sizes, start)):
-                skip = skip * len(axis) + k
-            # One block per point, made lazily, as the scan stops at a NaN.
-            for t in itertools.islice(pts, skip, None):
-                yield 1, [t].__getitem__, [[x] for x in a.at(t).coords], [[x] for x in b.at(t).coords]
-            return
-        yield n, lambda k, start=start: tuple(map(operator.getitem, axes, _row(sizes, start + k))), *sides
+            # One block per row, made lazily, as the scan stops at a NaN.
+            for k in range(n):
+                row_a = a.provenance.columns([[col[k]] for col in cols_a], 1)
+                row_b = b.provenance.columns([[col[k]] for col in cols_b], 1)
+                yield 1, lambda _, i=start + k: _point(axes, sizes, i), row_a, row_b
+        else:
+            yield n, lambda k, start=start: _point(axes, sizes, start + k), *sides
         start += n
 
 
@@ -672,14 +638,13 @@ class EqualityOracle:
     def _scan(self, a: MooreCube, b: MooreCube, axes, pts) -> Equality:
         """Compare a and b on pts, the grid itertools.product(*axes).
 
-        pts is walked to its end (or to a fault), also where the scan
-        evaluates fewer rows, so a subclass that wraps grid or union_grid
-        sees every point of it.
+        pts is walked to its end, also where the scan evaluates fewer rows,
+        so a subclass that wraps grid or union_grid sees every point of it.
         """
         if a.dim:
             distances = a.space.distances
             worst = -1.0
-            for n, point, cols_a, cols_b in _blocks(a, b, axes, pts):
+            for n, point, cols_a, cols_b in _blocks(a, b, axes):
                 ds = distances(cols_a, cols_b, n)
                 total = sum(ds)
                 if total != total:  # a NaN: the first NaN point is the witness

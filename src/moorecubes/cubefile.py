@@ -181,12 +181,19 @@ def _int_field(data: dict, key: str, kind: str) -> int:
     return value
 
 
-# Node field -> reader of its file key; "lenient" is optional and read for truth.
+def _lenient_field(data: dict, key: str, kind: str) -> bool:
+    value = data.get(key, False)  # a file without the key holds a strict composite
+    if not isinstance(value, bool):
+        raise CubeFileError(f"{kind} field {key!r} must be true or false, got {value!r}")
+    return value
+
+
+# Node field -> reader of its file key.
 _READERS = {
     "i": _int_field,
     "direction": _int_field,
     "sign": _sign_from,
-    "lenient": lambda data, key, kind: data.get(key),
+    "lenient": _lenient_field,
     "space": lambda data, key, kind: space_from_json(_require(data, key, kind)),
 }
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import MooreCube, Point, Shape, Space, _leaf
+from .core import MooreCube, Shape, Space, _leaf
 from .errors import DimensionMismatch, EvalError, ParseError
 
 FUNCTIONS: dict[str, tuple[int, Callable]] = {
@@ -637,17 +637,10 @@ def _dsl_cube(
     texts = tuple(sources)
     trees = None if None in nodes else tuple(nodes)
 
-    def act(ts: tuple[float, ...]) -> Point:
-        try:
-            values = [fn(ts) for fn in fns]
-        except _FAULTS:
-            values = [col[0] for col in _interpret(texts, [ts])]
-        return Point(tuple(map(float, values)))
-
     def batch(rows: list[tuple[float, ...]]) -> list[list[float]]:
         try:
             return [list(map(fn, rows)) for fn in fns]
         except _FAULTS:
             return _interpret(texts, rows)
 
-    return _leaf(dim, shape, space, act, texts, batch, trees)
+    return _leaf(dim, shape, space, texts, batch, trees)

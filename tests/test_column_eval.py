@@ -31,7 +31,7 @@ E1 = Euclidean(1)
 
 
 def assert_agrees(cube, points):
-    """coords_at, which the oracle's scan uses, reads what at reads."""
+    """coords_at, which evaluates through the columns rules that the oracle's scan uses, reads what at reads."""
     points = [tuple(p) for p in points]
     want = [repr(cube.at(p).coords) for p in points]  # repr: NaN-aware, sign of zero kept
     assert [repr(v) for v in cube.coords_at(points)] == want

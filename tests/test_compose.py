@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from moorecubes import (
     BadIndex,
-    ComposeNode,
     CompositionUndefined,
     DimensionMismatch,
     EqualityOracle,
@@ -25,6 +25,7 @@ from moorecubes import (
     make_cube,
     multi_compose,
 )
+from moorecubes import core
 from moorecubes.expr import cube_from_exprs
 from moorecubes.generators import extend_chain, gen_composable_pair, gen_cube, quadrants, subdivide
 
@@ -123,10 +124,11 @@ class TestComposeLenient:
 
 
 class TestComposeClamps:
-    """A composite clamps a point only where it can leave a piece's box.
+    """A composite caps a point to the box of the piece it reaches.
 
-    Each piece is a DSL leaf, which does not clamp by itself, so a missing
-    clamp shows in the values; each test plants its clamp away and sees it.
+    Each piece is a leaf that does not clamp by itself, so a missing cap
+    shows in the values; each test lifts a cap away and sees it, or sees
+    that a cap is the identity on the points of the composite's box.
     """
 
     @staticmethod
@@ -135,6 +137,17 @@ class TestComposeClamps:
         want = [piece.at((p[0] - cut, *p[1:])).coords for p in points]
         return [cube.at(p).coords for p in points] == want, cube.coords_at(points) == want
 
+    @staticmethod
+    def _lift_cap(monkeypatch, i):
+        """Patch core's caps so that none lowers coordinate i."""
+        cap, cap_columns = core._cap, core._cap_columns
+
+        def lift(extents):
+            return extents[:i] + (math.inf,) + extents[i + 1 :]
+
+        monkeypatch.setattr(core, "_cap", lambda ts, extents: cap(ts, lift(extents)))
+        monkeypatch.setattr(core, "_cap_columns", lambda cols, extents: cap_columns(cols, lift(extents)))
+
     def test_a_lenient_left_piece_narrower_across_the_seam(self, monkeypatch):
         a = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), ["t1 + 10*t2"])
         b = cube_from_exprs(2, (1.0, 2.0), Euclidean(1), ["1 + 10*min(t2, 1) + t1"])
@@ -142,8 +155,7 @@ class TestComposeClamps:
         assert whole.shape.extents == (2.0, 2.0)
         points = [(0.0, 1.5), (0.5, 2.0), (1.0, 1.25)]  # on a, beyond its extent 1 in direction 2
         assert self._reads_piece(whole, a, points, 0.0) == (True, True)
-        bounds = ComposeNode._bounds
-        monkeypatch.setattr(ComposeNode, "_bounds", lambda node, right: bounds(node, right) if right else [])
+        self._lift_cap(monkeypatch, 1)
         assert self._reads_piece(whole, a, points, 0.0) == (False, False)
 
     def test_a_strict_right_piece_tol_shape_narrower(self, monkeypatch):
@@ -153,10 +165,7 @@ class TestComposeClamps:
         assert whole.shape.extents == (2.0, 1.0)
         points = [(1.5, 0.8), (2.0, 1.0), (1.25, 0.9)]  # on b, beyond its extent 0.75 in direction 2
         assert self._reads_piece(whole, b, points, 1.0) == (True, True)
-        bounds = ComposeNode._bounds
-        monkeypatch.setattr(
-            ComposeNode, "_bounds", lambda node, right: [(i, r) for i, r in bounds(node, right) if i == 0]
-        )
+        self._lift_cap(monkeypatch, 1)
         assert self._reads_piece(whole, b, points, 1.0) == (False, False)
 
     def test_a_right_piece_at_the_end_of_the_composite(self, monkeypatch):
@@ -167,11 +176,45 @@ class TestComposeClamps:
         assert end - 0.1 > 0.2  # (cut + s) - cut rounds past s
         points = [(end,), (end + 1.0,)]
         assert self._reads_piece(whole, b, points, 0.1) == (True, True)
-        bounds = ComposeNode._bounds
-        monkeypatch.setattr(
-            ComposeNode, "_bounds", lambda node, right: [(i, r) for i, r in bounds(node, right) if i != 0]
-        )
+        self._lift_cap(monkeypatch, 0)
         assert self._reads_piece(whole, b, points, 0.1) == (False, False)
+
+    def _caps_are_identities(self, monkeypatch, whole, a, b, left_points, right_points):
+        """Both pieces read at their points with every cap, then with one coordinate fewer capped each time."""
+        cut = a.shape.extents[0]
+        for i in range(whole.dim + 1):
+            if i:
+                self._lift_cap(monkeypatch, i - 1)
+            assert self._reads_piece(whole, a, left_points, 0.0) == (True, True)
+            assert self._reads_piece(whole, b, right_points, cut) == (True, True)
+
+    def test_caps_of_a_strict_composite_with_equal_extents_are_identities(self, monkeypatch):
+        a = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), ["t1 + 10*t2"])
+        b = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), ["1 + t1 + 10*t2"])
+        whole = compose_strict(a, b, 1)
+        assert whole.shape.extents == (2.0, 1.0)
+        left = [(0.0, 0.0), (1.0, 0.5), (1.0, 1.0), (0.5, 2.0)]  # the seam, and beyond in direction 2
+        right = [(1.5, 1.0), (2.0, 1.0), (3.0, 0.5), (2.5, 2.0)]  # the end, and beyond in both
+        self._caps_are_identities(monkeypatch, whole, a, b, left, right)
+
+    def test_caps_of_a_right_piece_tol_shape_wider_are_identities(self, monkeypatch):
+        a = cube_from_exprs(2, (1.0, 1.0), Euclidean(1), ["t1 + t2"])
+        b = cube_from_exprs(2, (1.0, 1.25), Euclidean(1), ["1 + t1 + min(t2, 1)"])
+        whole = compose_strict(a, b, 1, EqualityOracle(tol_shape=0.25))
+        assert whole.shape.extents == (2.0, 1.0)
+        left = [(1.0, 1.0), (0.5, 3.0)]
+        right = [(1.5, 1.0), (2.0, 0.0), (3.0, 1.0)]  # up to the composite's extent 1 in direction 2
+        self._caps_are_identities(monkeypatch, whole, a, b, left, right)
+
+    def test_caps_at_a_negative_zero_extent_are_identities(self, monkeypatch):
+        # make_cube leaves, as no DSL function reads the sign of a zero.
+        a = make_cube(2, (1.0, -0.0), Euclidean(1), lambda ts: (ts[0] + math.copysign(1.0, ts[1]),))
+        b = make_cube(2, (1.0, -0.0), Euclidean(1), lambda ts: (1.0 + ts[0] + math.copysign(1.0, ts[1]),))
+        whole = compose_lenient(a, b, 1)
+        assert str(whole.shape.extents) == "(2.0, -0.0)"
+        left = [(0.5, 0.0), (1.0, -0.0), (1.0, 1.0)]
+        right = [(1.5, 0.0), (2.0, -0.0), (3.0, 1.0)]
+        self._caps_are_identities(monkeypatch, whole, a, b, left, right)
 
 
 class TestMultiCompose:

@@ -591,6 +591,21 @@ class TestFileAndValueDigests:
         del data["provenance"]["lenient"]
         assert cube_from_dict(data).provenance.lenient is False
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_compose_with_a_non_boolean_lenient_exits_2(self, value, tmp_path, capsys):
+        path = tmp_path / "composite.json"
+        save_cube(_node_kind_cubes()["compose_strict"], str(path))
+        data = json.loads(path.read_text())
+        data["provenance"]["lenient"] = value
+        path.write_text(json.dumps(data))
+        message = f"compose field 'lenient' must be true or false, got {value!r}"
+        with pytest.raises(CubeFileError) as exc:
+            load_cube(str(path))
+        assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["apply", "--in", str(path), "--op", "rev:1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("name", ["lenient", "strict", "strict_narrow", "stack"])
     def test_sampled_values(self, name):
         cube = _sampled_cubes()[name]

@@ -237,14 +237,25 @@ class TestSuite:
 # changes these bytes.
 TABLE_SHA256 = "a2cf433e2c06b584f8833fd74afd5ddd7e0722721f1fbe3dfcfa0beb5ac27415"
 REPORT_SHA256 = "226f5ce29c3dbf32e602b2bad6e54496f5688a23766ef23232102cac00fc61f5"
+# run_suite's default of 100 instances; the table digest is also the seed-42
+# digest of lawbench/reference.json.
+TABLE_100_SHA256 = "3983c65d20ff2e7cfe2d02833c04fc0ca1177f287b8c36c8ed80fa47feffe675"
+REPORT_100_SHA256 = "fc9ebe18288ab9f05bfb5a197a90b15727787daf8a94e8c48686afa244f0d4ae"
 
 
 class TestPinnedOutput:
+    @staticmethod
+    def _digests(report) -> tuple[str, str]:
+        table = hashlib.sha256(format_table(report).encode("utf-8")).hexdigest()
+        return table, hashlib.sha256(_report_json(report).encode("utf-8")).hexdigest()
+
     def test_seed_42_table_and_report_bytes_are_pinned(self):
         report = run_suite(n_instances=5, seed=42, oracle=oracle)
-        table = hashlib.sha256(format_table(report).encode("utf-8")).hexdigest()
-        data = hashlib.sha256(_report_json(report).encode("utf-8")).hexdigest()
-        assert (table, data) == (TABLE_SHA256, REPORT_SHA256)
+        assert self._digests(report) == (TABLE_SHA256, REPORT_SHA256)
+
+    def test_seed_42_default_run_of_100_instances_is_pinned(self):
+        report = run_suite(n_instances=100, seed=42)
+        assert self._digests(report) == (TABLE_100_SHA256, REPORT_100_SHA256)
 
 
 class TestRejectedConstruction:
