@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -111,9 +113,13 @@ def _cmd_sample(args) -> int:
             writer.writerow(
                 [_fmt_value(t) for t in point] + [_fmt_value(x) for x in value.coords]
             )
-    finally:
         if args.out:
             handle.close()
+    except BaseException:
+        if args.out:  # a failed sample leaves no partial CSV behind
+            handle.close()
+            os.remove(args.out)
+        raise
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -209,6 +215,7 @@ def _law_list(text: str) -> list[str]:
     return laws
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moorecubes",

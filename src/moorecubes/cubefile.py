@@ -12,7 +12,9 @@ same way it would fail to build.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, TextIO
 
 from .compose import compose_lenient, compose_strict
@@ -202,9 +204,12 @@ def _shape_field(data: dict, kind: str, dim: int) -> Shape:
     raw = _require(data, "shape", kind)
     if not isinstance(raw, list) or len(raw) != dim:
         raise CubeFileError(f"shape must be a list of {dim} extents, got {raw!r}")
+    for r in raw:
+        if not isinstance(r, (int, float)) or isinstance(r, bool):
+            raise CubeFileError(f"bad shape {raw!r}: extent {r!r} is not a number")
     try:
         return Shape(tuple(float(r) for r in raw))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise CubeFileError(f"bad shape {raw!r}: {exc}") from None
 
 
@@ -269,6 +274,21 @@ def cube_from_dict(data: Any) -> MooreCube:
     return cube
 
 
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# Exact scalar type -> its JSON text, as json.dumps gives it.  Any other type,
+# subclasses included, goes through json.dumps itself.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _write_json(value: Any, write: Callable[[str], Any], newline: str = "\n") -> None:
     """Write value, whose keys are strings, as json.dump(value, indent=2, sort_keys=True) does.
 
@@ -277,8 +297,14 @@ def _write_json(value: Any, write: Callable[[str], Any], newline: str = "\n") ->
     which is quadratic in the depth of a chain.  newline is the line break
     plus the indentation of value's own level.
     """
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        write(text(value))
+        return
     if isinstance(value, dict):
-        items = [(json.dumps(key) + ": ", item) for key, item in sorted(value.items())]
+        items = [
+            (encode_basestring_ascii(key) + ": ", item) for key, item in sorted(value.items())
+        ]
         opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
         items = [("", item) for item in value]

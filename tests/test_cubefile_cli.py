@@ -37,7 +37,7 @@ from moorecubes import (
     save_cube,
     tensor,
 )
-from moorecubes.cli import main
+from moorecubes.cli import _build_parser, main
 from moorecubes.cubefile import (
     FORMAT,
     MAX_DEPTH,
@@ -202,6 +202,50 @@ class TestRoundTrip:
         assert main(["sample", "--in", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("extent", ["2", True, None, [2.0]], ids=["text", "bool", "null", "list"])
+    def test_a_primitive_extent_that_is_not_a_number_exits_2(self, extent, tmp_path, capsys):
+        _, path = square_file(tmp_path)
+        data = json.loads(path.read_text())
+        data["shape"] = [extent]
+        path.write_text(json.dumps(data))
+        message = f"bad shape {[extent]!r}: extent {extent!r} is not a number"
+        with pytest.raises(CubeFileError) as exc:
+            load_cube(str(path))
+        assert str(exc.value) == message
+        out = tmp_path / "rev.json"
+        assert main(["apply", "--in", str(path), "--op", "rev:1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["header", "primitive"])
+    @pytest.mark.parametrize("extent", ["2", False])
+    def test_a_derived_file_extent_that_is_not_a_number_exits_2(self, where, extent, tmp_path, capsys):
+        cube, _ = square_file(tmp_path)
+        path = tmp_path / "conn.json"
+        save_cube(connection(cube, 1, Sign.MINUS), str(path))
+        data = json.loads(path.read_text())
+        owner = data if where == "header" else data["provenance"]["of"]
+        owner["shape"][-1] = extent
+        path.write_text(json.dumps(data))
+        message = f"bad shape {owner['shape']!r}: extent {extent!r} is not a number"
+        with pytest.raises(CubeFileError) as exc:
+            load_cube(str(path))
+        assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["sample", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_extents_still_load(self, tmp_path):
+        cube, path = square_file(tmp_path)
+        save_cube(connection(cube, 1, Sign.MINUS), str(path))
+        data = json.loads(path.read_text())
+        data["shape"] = [2, 2]
+        data["provenance"]["of"]["shape"] = [2]
+        path.write_text(json.dumps(data))
+        loaded = load_cube(str(path))
+        assert loaded.shape.extents == (2.0, 2.0)
+        assert all(type(r) is float for r in loaded.shape.extents)
+
     def test_dict_round_trip_without_filesystem(self):
         cube = cube_from_exprs(1, Shape((2.0,)), Euclidean(1), ["t1^2"])
         data = cube_to_dict(cube)
@@ -348,6 +392,14 @@ class TestCliSample:
         assert main(["sample", "--in", str(path)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows == ["x1", "2.5"]
+
+    def test_a_failed_sample_leaves_no_partial_csv(self, tmp_path, capsys):
+        path = tmp_path / "pole.json"
+        save_cube(cube_from_exprs(1, Shape((2.0,)), Euclidean(1), ["1/(t1 - 1)"]), str(path))
+        out = tmp_path / "part.csv"
+        assert main(["sample", "--in", str(path), "--grid", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: division by zero\n"
+        assert not out.exists()
 
     def test_grid_below_two_is_a_usage_error(self, tmp_path):
         _, path = square_file(tmp_path)
@@ -505,6 +557,48 @@ class TestCliUsage:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["sample", "--in", str(tmp_path / "ghost.json")]) == 2
+
+
+class TestCliParserReuse:
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_ops_do_not_carry_over_between_calls(self, tmp_path):
+        _, path = square_file(tmp_path)
+        square = tmp_path / "sq.json"
+        assert main(["apply", "--in", str(path), "--op", "conn:-:1", "--out", str(square)]) == 0
+
+        def apply(op: str, name: str) -> bytes:
+            out = tmp_path / name
+            assert main(["apply", "--in", str(square), "--op", op, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        _build_parser.cache_clear()
+        first_alone = apply("rev:1", "a1.json")
+        _build_parser.cache_clear()
+        second_alone = apply("rev:2", "a2.json")
+        _build_parser.cache_clear()
+        assert apply("rev:1", "s1.json") == first_alone
+        assert apply("rev:2", "s2.json") == second_alone
+        assert first_alone != second_alone
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        _, path = square_file(tmp_path)
+        bad = ["sample", "--in", str(path), "--grid", "1"]
+        assert main(bad) == 2
+        first = capsys.readouterr().err
+        assert main(["sample", "--in", str(path), "--grid", "2"]) == 0
+        capsys.readouterr()
+        assert main(bad) == 2
+        assert capsys.readouterr().err == first
+        assert "grid must be at least 2" in first
+
+    def test_help_leaves_the_parser_usable(self, tmp_path, capsys):
+        _, path = square_file(tmp_path)
+        assert main(["sample", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: moorecubes sample")
+        assert main(["sample", "--in", str(path), "--grid", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "t1,x1"
 
 
 def _node_kind_cubes() -> dict:
@@ -1031,3 +1125,46 @@ class TestWriter:
         buffer = io.StringIO()
         _write_json(value, buffer.write)
         assert buffer.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            -0.0, 5e-324, 1e16, 1e17, math.nan, math.inf, -math.inf,
+            True, False, None, 0, 2**63, -(10**400),
+            "caf\u00e9 \u4e2d", "\x00\x1f\t\n\"\\", "\ud800 and \udfff", "\u2028",
+        ],
+    )
+    def test_each_scalar_is_written_as_json_dumps_writes_it(self, value):
+        docs = [value, [value], {"key": value}]
+        if isinstance(value, str):
+            docs.append({value: 0})
+        for doc in docs:
+            buffer = io.StringIO()
+            _write_json(doc, buffer.write)
+            assert buffer.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_number_subclasses_are_written_through_json_dumps(self, monkeypatch):
+        class Extent(float):
+            def __repr__(self):
+                return "Extent()"
+
+        class Index(int):
+            def __repr__(self):
+                return "Index()"
+
+        values = [Extent(2.5), Index(3)]
+        expected = [json.dumps(v) for v in values]
+        seen = []
+        dumps = json.dumps
+
+        def spy(value, *args, **kwargs):
+            seen.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        for value, text in zip(values, expected):
+            buffer = io.StringIO()
+            _write_json(value, buffer.write)
+            assert buffer.getvalue() == text
+        assert seen == values
+        assert expected == ["2.5", "3"]
