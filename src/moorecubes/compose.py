@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .core import ComposeNode, EqualityOracle, MooreCube, Shape, _extent
 from .errors import BadIndex, CompositionUndefined, DimensionMismatch
-from .ops import Sign, face
 
 _DEFAULT_ORACLE = EqualityOracle()
 
@@ -33,8 +32,7 @@ def _compose(
 ) -> MooreCube:
     oracle = oracle or _DEFAULT_ORACLE
     _precheck(a, b, j)
-    equals = oracle.equals_action if lenient else oracle.equals_strict
-    eq = equals(face(a, j, Sign.PLUS), face(b, j, Sign.MINUS))
+    eq = oracle.equals_faces(a, b, j, lenient)
     if not eq:
         if lenient:
             what = f"face actions in direction {j} differ"

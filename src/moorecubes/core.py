@@ -13,10 +13,45 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterator, Sequence, Union
 
-from .errors import DimensionMismatch, InvalidShape
+from .errors import BadIndex, DimensionMismatch, InvalidShape
+
+
+def _slots_init(cls) -> Callable:
+    """An __init__ for cls, a frozen slots dataclass, that runs no __post_init__.
+
+    cls has no default_factory.  The __init__ takes the dataclass's
+    parameters, defaults included, and sets each field's slot through the
+    member descriptor that cls holds for it.  The dataclass's own __init__
+    goes through object.__setattr__ (assignment is what frozen forbids),
+    which looks the name up again on every call.
+    """
+    params, body, names = [], [], {}
+    for f in fields(cls):
+        names[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            params.append(f"{f.name}=_default_{f.name}")
+            names[f"_default_{f.name}"] = f.default
+        body.append(f"\n    _set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", names)
+    init = names["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def _fast_init(cls):
+    """Class decorator: cls, which has no __post_init__, built by _slots_init(cls)."""
+    cls.__init__ = _slots_init(cls)
+    return cls
+
+
+def _check_index(i: int, upper: int, what: str) -> None:
+    if not 1 <= i <= upper:
+        raise BadIndex(f"{what} index {i} out of range 1..{upper}")
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +75,7 @@ class Shape:
         exts = tuple(map(float, self.extents))
         for r in exts:
             _extent(r)
-        object.__setattr__(self, "extents", exts)
+        _shape_init(self, exts)
 
     @classmethod
     def _of(cls, extents: tuple[float, ...]) -> "Shape":
@@ -50,7 +85,7 @@ class Shape:
         extents, which a Shape checked when it was made.
         """
         shape = object.__new__(cls)
-        object.__setattr__(shape, "extents", extents)
+        _shape_init(shape, extents)
         return shape
 
     def __len__(self) -> int:
@@ -61,6 +96,9 @@ class Shape:
 
     def __getitem__(self, k: int) -> float:
         return self.extents[k]
+
+
+_shape_init = _slots_init(Shape)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +112,8 @@ class Euclidean:
     dim: int
 
     def __post_init__(self):
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise DimensionMismatch(f"euclidean dimension must be an int, got {self.dim!r}")
         if self.dim < 0:
             raise DimensionMismatch(f"euclidean dimension must be >= 0, got {self.dim}")
 
@@ -129,6 +169,7 @@ class Product:
 Space = Union[Euclidean, Product]
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Point:
     """A point of a target space, stored as flat coordinates."""
@@ -158,8 +199,8 @@ class Point:
 # the identity except where the point can leave the piece's box.
 #
 # columns(cols, n) is the same action on n points at once: cols holds one
-# sequence of n values per coordinate, and the result one list per output
-# coordinate.  Each rule does the float operations of act in the same order,
+# sequence of n values per coordinate, and the result one sequence per
+# output coordinate.  Each rule does the float operations of act in the same order,
 # so both give the same bits; the oracle scans grids this way.
 
 
@@ -185,6 +226,7 @@ def _cap_columns(cols, extents) -> list:
     return [[r if t > r else t for t in col] for col, r in zip(cols, extents)]
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Primitive:
     """Leaf node; exprs holds the defining source strings when known."""
@@ -197,12 +239,13 @@ class Primitive:
     trees: tuple | None = field(default=None, compare=False, repr=False)
 
     def act(self, ts: tuple[float, ...]) -> Point:
-        return Point(tuple([float(col[0]) for col in self.batch([ts])]))
+        return Point(tuple([float(v) for v, in self.batch([ts])]))
 
     def columns(self, cols, n):
         return self.batch(list(zip(*cols)) if cols else [()] * n)
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class FaceNode:
     source: "MooreCube"
@@ -220,6 +263,7 @@ class FaceNode:
         return self.source.provenance.columns(cols[:k] + [[val] * n] + cols[k:], n)
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class DegeneracyNode:
     source: "MooreCube"
@@ -234,6 +278,7 @@ class DegeneracyNode:
         return self.source.provenance.columns(cols[:k] + cols[k + 1 :], n)
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ConnectionNode:
     source: "MooreCube"
@@ -251,6 +296,7 @@ class ConnectionNode:
         return self.source.provenance.columns(cols[:k] + [merged] + cols[k + 2 :], n)
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ReverseNode:
     source: "MooreCube"
@@ -269,6 +315,7 @@ class ReverseNode:
         )
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ComposeNode:
     left: "MooreCube"
@@ -309,6 +356,7 @@ class ComposeNode:
         return merged
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class TensorNode:
     left: "MooreCube"
@@ -327,6 +375,7 @@ class TensorNode:
         )
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ReassociateNode:
     source: "MooreCube"
@@ -355,6 +404,7 @@ Provenance = Union[
 # cubes
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True, eq=False)
 class MooreCube:
     """A shape vector, a target space, and the node that acts on the box."""
@@ -470,8 +520,33 @@ SCAN_BLOCK = 2048
 _BITS = struct.Struct("2d").pack
 
 
-def _distinct_axes(a: MooreCube, b: MooreCube, axes) -> tuple[list, list]:
-    """Per axis, its grid values clamped into a's box and into b's, one per class.
+def _side(cube: MooreCube, j: int | None = None, sign: str = "-") -> tuple:
+    """The (shape, node, k, pinned) the oracle reads cube by, or face(cube, j, sign) given j.
+
+    A face is not built: it is read through cube's own node, each of its
+    rows with pinned, the value of coordinate j (r_j for plus, 0.0 for
+    minus), inserted at index k = j - 1 as FaceNode inserts it.  pinned is
+    () for the whole cube.  j is checked as face checks it.
+    """
+    if j is None:
+        return cube.shape, cube.provenance, 0, ()
+    extents = cube.shape.extents
+    _check_index(j, len(extents), "face")
+    k = j - 1
+    pinned = (extents[k] if sign == "+" else 0.0,)
+    return Shape._of(extents[:k] + extents[k + 1 :]), cube.provenance, k, pinned
+
+
+def _side_columns(side: tuple, cols: list, n: int) -> list:
+    """The side's node on n rows given as columns, its pinned column inserted."""
+    _, node, k, pinned = side
+    if pinned:
+        cols = cols[:k] + [[pinned[0]] * n] + cols[k:]
+    return node.columns(cols, n)
+
+
+def _distinct_axes(a: tuple, b: tuple, axes) -> tuple[list, list]:
+    """Per axis, its grid values clamped into side a's box and into b's, one per class.
 
     A class holds the grid values whose clamped pairs have the same bits
     (so -0.0 is not 0.0) and stands for its first grid value.  The
@@ -480,7 +555,7 @@ def _distinct_axes(a: MooreCube, b: MooreCube, axes) -> tuple[list, list]:
     two extents: the classes are an axis's first values, up to the first
     value of its last class.
     """
-    axes_a, axes_b = _clamp_columns(axes, a.shape.extents), _clamp_columns(axes, b.shape.extents)
+    axes_a, axes_b = _clamp_columns(axes, a[0].extents), _clamp_columns(axes, b[0].extents)
     for k, (ta, tb) in enumerate(zip(axes_a, axes_b)):
         keys = list(map(_BITS, ta, tb))
         m = keys.index(keys[-1]) + 1
@@ -526,12 +601,12 @@ def _product_blocks(*sides) -> Iterator[tuple]:
             yield m, *([[axes[0][k]] * m] + c for axes, c in zip(sides, cols))
 
 
-def _blocks(a: MooreCube, b: MooreCube, axes) -> Iterator[tuple]:
+def _blocks(a: tuple, b: tuple, axes) -> Iterator[tuple]:
     """(n, point, a's columns, b's columns) for blocks of grid rows, in grid order.
 
-    The grid is itertools.product(*axes).  Each side is evaluated on
-    columns once per distinct clamped row, the row of each class's first
-    grid values: every grid point reads what its row reads, and no point
+    a and b are _sides, and the grid is itertools.product(*axes).  Each
+    side is evaluated on columns once per distinct clamped row, the row of
+    each class's first grid values: every grid point reads what its row reads, and no point
     comes before its row, so the first farthest (or NaN) point of the grid
     is such a row, and so is the first point at which evaluating a and then
     b at each grid point in turn would fault.  point(k) is the grid point
@@ -543,12 +618,12 @@ def _blocks(a: MooreCube, b: MooreCube, axes) -> Iterator[tuple]:
     start = 0
     for n, cols_a, cols_b in _product_blocks(axes_a, axes_b):
         try:
-            sides = a.provenance.columns(cols_a, n), b.provenance.columns(cols_b, n)
+            sides = _side_columns(a, cols_a, n), _side_columns(b, cols_b, n)
         except Exception:
             # One block per row, made lazily, as the scan stops at a NaN.
             for k in range(n):
-                row_a = a.provenance.columns([[col[k]] for col in cols_a], 1)
-                row_b = b.provenance.columns([[col[k]] for col in cols_b], 1)
+                row_a = _side_columns(a, [[col[k]] for col in cols_a], 1)
+                row_b = _side_columns(b, [[col[k]] for col in cols_b], 1)
                 yield 1, lambda _, i=start + k: _point(axes, sizes, i), row_a, row_b
         else:
             yield n, lambda k, start=start: _point(axes, sizes, start + k), *sides
@@ -565,6 +640,7 @@ class EqualityWitness:
     distance: float
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Equality:
     """Outcome of an oracle comparison; truthy exactly when equal.
@@ -600,7 +676,10 @@ class EqualityOracle:
     tol_shape: float = 1e-9
 
     def __post_init__(self):
-        if self.samples_per_axis < 2:
+        s = self.samples_per_axis
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise ValueError(f"samples_per_axis must be an int, got {s!r}")
+        if s < 2:
             raise ValueError("samples_per_axis must be >= 2")
         for name in ("tol_val", "tol_shape"):
             tol = getattr(self, name)
@@ -615,7 +694,7 @@ class EqualityOracle:
         return list(dict.fromkeys(pts))
 
     def _axes(self, shape: Shape) -> list[list[float]]:
-        return [self.axis_samples(r) for r in shape.extents]
+        return list(map(self.axis_samples, shape.extents))
 
     def _union_axes(self, a: Shape, b: Shape) -> list[list[float]]:
         return [
@@ -635,14 +714,14 @@ class EqualityOracle:
             abs(x - y) <= self.tol_shape for x, y in zip(ra, rb)
         )
 
-    def _scan(self, a: MooreCube, b: MooreCube, axes, pts) -> Equality:
-        """Compare a and b on pts, the grid itertools.product(*axes).
+    def _scan(self, space: Space, a: tuple, b: tuple, axes, pts) -> Equality:
+        """Compare _sides a and b on pts, the grid itertools.product(*axes).
 
         pts is walked to its end, also where the scan evaluates fewer rows,
         so a subclass that wraps grid or union_grid sees every point of it.
         """
-        if a.dim:
-            distances = a.space.distances
+        if axes:
+            distances = space.distances
             worst = -1.0
             for n, point, cols_a, cols_b in _blocks(a, b, axes):
                 ds = distances(cols_a, cols_b, n)
@@ -664,32 +743,46 @@ class EqualityOracle:
             t, pa, pb = point(k), tuple(col[k] for col in cols_a), tuple(col[k] for col in cols_b)
         else:  # the one point (), cheaper alone; clamping it changes nothing
             (t,) = pts
-            pa, pb = a.provenance.act(t).coords, b.provenance.act(t).coords
-            worst = a.space.distance(pa, pb)
+            pa, pb = a[1].act(a[3]).coords, b[1].act(b[3]).coords  # () with the pinned value
+            worst = space.distance(pa, pb)
             if worst <= self.tol_val:
                 return _EQUAL
         return Equality(False, "action", EqualityWitness(t, Point(pa), Point(pb), worst))
 
-    def equals_strict(self, a: MooreCube, b: MooreCube) -> Equality:
-        """Same dim, space, shape (within tol_shape), and values on a's grid."""
-        if a.dim != b.dim:
-            return Equality(False, "dim", detail=f"dims {a.dim} vs {b.dim}")
-        if a.space != b.space:
-            return Equality(False, "space", detail=f"spaces {a.space} vs {b.space}")
-        if not self.shapes_equal(a.shape, b.shape):
+    def _compare(self, space_a: Space, space_b: Space, a: tuple, b: tuple, lenient: bool) -> Equality:
+        """equals_strict, or equals_action when lenient, of _sides a and b."""
+        shape_a, shape_b = a[0], b[0]
+        dim_a, dim_b = len(shape_a.extents), len(shape_b.extents)
+        if dim_a != dim_b:
+            return Equality(False, "dim", detail=f"dims {dim_a} vs {dim_b}")
+        if space_a != space_b:
+            return Equality(False, "space", detail=f"spaces {space_a} vs {space_b}")
+        if lenient:
+            axes, pts = self._union_axes(shape_a, shape_b), self.union_grid(shape_a, shape_b)
+        elif not self.shapes_equal(shape_a, shape_b):
             return Equality(
                 False,
                 "shape",
-                detail=f"shapes {a.shape.extents} vs {b.shape.extents}",
+                detail=f"shapes {shape_a.extents} vs {shape_b.extents}",
             )
-        return self._scan(a, b, self._axes(a.shape), self.grid(a.shape))
+        else:
+            axes, pts = self._axes(shape_a), self.grid(shape_a)
+        return self._scan(space_a, a, b, axes, pts)
+
+    def equals_strict(self, a: MooreCube, b: MooreCube) -> Equality:
+        """Same dim, space, shape (within tol_shape), and values on a's grid."""
+        return self._compare(a.space, b.space, _side(a), _side(b), False)
 
     def equals_action(self, a: MooreCube, b: MooreCube) -> Equality:
         """Values agree on the union grid; shapes are allowed to differ."""
-        if a.dim != b.dim:
-            return Equality(False, "dim", detail=f"dims {a.dim} vs {b.dim}")
-        if a.space != b.space:
-            return Equality(False, "space", detail=f"spaces {a.space} vs {b.space}")
-        return self._scan(
-            a, b, self._union_axes(a.shape, b.shape), self.union_grid(a.shape, b.shape)
-        )
+        return self._compare(a.space, b.space, _side(a), _side(b), True)
+
+    def equals_faces(self, a: MooreCube, b: MooreCube, j: int, lenient: bool = False) -> Equality:
+        """equals_strict(face(a, j, +), face(b, j, -)), or equals_action when lenient.
+
+        The faces are not built: each is read through its cube's own node
+        with coordinate j pinned.  The result, and any error raised, is
+        that of the comparison of the built faces, and grid or union_grid
+        of the face shapes is walked as that comparison walks it.
+        """
+        return self._compare(a.space, b.space, _side(a, j, "+"), _side(b, j, "-"), lenient)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import MooreCube, Shape, Space, _leaf
+from .core import MooreCube, Shape, Space, _fast_init, _leaf
 from .errors import DimensionMismatch, EvalError, ParseError
 
 FUNCTIONS: dict[str, tuple[int, Callable]] = {
@@ -70,12 +70,14 @@ _TOO_DEEP = f"expression nested too deeply (the limit is {MAX_DEPTH} levels)"
 # AST
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Num:
     value: float
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Var:
     index: int  # 1-based
@@ -86,6 +88,7 @@ class Var:
         return f"t{self.index}"
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Unary:
     op: str
@@ -93,6 +96,7 @@ class Unary:
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Bin:
     op: str
@@ -101,6 +105,7 @@ class Bin:
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class Call:
     fn: str
@@ -525,14 +530,16 @@ LEAF_CODE_SIZE = 64
 # The Python source _emit generates -> its compiled code.
 _CODE: dict[str, CodeType] = {}
 # (dim, the text between the numbers of a leaf) -> the code _emit made for
-# the first text of that shape, and which of its numbers carry a folded
-# minus sign.  Filled by _leaf_code.
-_LEAF_CODE: dict[tuple, tuple[CodeType, tuple[bool, ...]]] = {}
+# the first text of that shape, and the positions of its numbers that carry
+# a folded minus sign.  Filled by _leaf_code.
+_LEAF_CODE: dict[tuple, tuple[CodeType, tuple[int, ...]]] = {}
 # A number of the grammar standing alone: no letter, digit, "_" or "." on
 # either side, so the digits of t12 or of 2e+ are not numbers.  In a text
 # that parses the matches are its number tokens, and a text with the same
 # text between its numbers lexes to the same tokens but for their values.
-_NUMBER = re.compile(r"(?<![\w.])([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?![\w.])")
+# The look-behind comes after the first digit, so the search tries it only
+# where a digit stands.
+_NUMBER = re.compile(r"([0-9](?<![\w.][0-9])[0-9]*(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?![\w.])")
 
 
 def _recall(table: dict, key):
@@ -566,11 +573,13 @@ def _leaf_code(text: str, dim: int) -> Callable[[Sequence[float]], float]:
     entry = _recall(_LEAF_CODE, key)
     if entry is not None and math.inf not in numbers:
         code, negated = entry
-        return _bind(code, tuple([-v if neg else v for v, neg in zip(numbers, negated)]))
+        for k in negated:
+            numbers[k] = -numbers[k]
+        return _bind(code, tuple(numbers))
     code, values = _emit(parse_expr(text), dim)
     # The numbers of a text are never negative, so a value has its sign
     # bit set (-0.0 included) just where a minus sign was folded into it.
-    _keep(_LEAF_CODE, key, (code, tuple(math.copysign(1.0, v) < 0 for v in values)))
+    _keep(_LEAF_CODE, key, (code, tuple(k for k, v in enumerate(values) if math.copysign(1.0, v) < 0)))
     return _bind(code, values)
 
 
@@ -637,8 +646,11 @@ def _dsl_cube(
     texts = tuple(sources)
     trees = None if None in nodes else tuple(nodes)
 
-    def batch(rows: list[tuple[float, ...]]) -> list[list[float]]:
+    def batch(rows: list[tuple[float, ...]]) -> list:
         try:
+            if len(rows) == 1:  # Primitive.act's one point: one call per function
+                (ts,) = rows
+                return [(fn(ts),) for fn in fns]
             return [list(map(fn, rows)) for fn in fns]
         except _FAULTS:
             return _interpret(texts, rows)

@@ -17,6 +17,7 @@ from .core import (
     MooreCube,
     ReverseNode,
     Shape,
+    _check_index,
 )
 from .errors import BadIndex
 
@@ -31,11 +32,6 @@ class Sign(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def _check_index(i: int, upper: int, what: str) -> None:
-    if not 1 <= i <= upper:
-        raise BadIndex(f"{what} index {i} out of range 1..{upper}")
 
 
 def face(c: MooreCube, i: int, sign: Sign) -> MooreCube:
