@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .core import ComposeNode, EqualityOracle, MooreCube, Shape, _extent
+from .core import ComposeNode, EqualityOracle, MooreCube, Shape, _check_index, _extent
 from .errors import BadIndex, CompositionUndefined, DimensionMismatch
 
 _DEFAULT_ORACLE = EqualityOracle()
@@ -23,8 +23,7 @@ def _precheck(a: MooreCube, b: MooreCube, j: int) -> None:
         raise DimensionMismatch(f"cannot compose dims {a.dim} and {b.dim}")
     if a.space != b.space:
         raise DimensionMismatch(f"cannot compose across spaces {a.space} and {b.space}")
-    if not 1 <= j <= a.dim:
-        raise BadIndex(f"composition direction {j} out of range 1..{a.dim}")
+    _check_index(j, a.dim, "composition direction")
 
 
 def _compose(
@@ -110,7 +109,8 @@ def multi_compose(
 
     axis_dirs = list(range(n, 0, -1))  # axis k carries direction n - k
     order = list(fold_order) if fold_order is not None else list(range(n, 0, -1))
-    if sorted(order) != list(range(1, n + 1)):
+    ints = all(isinstance(d, int) and not isinstance(d, bool) for d in order)
+    if not ints or sorted(order) != list(range(1, n + 1)):
         raise BadIndex(f"fold order {order} is not a permutation of 1..{n}")
 
     for d in order:

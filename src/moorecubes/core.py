@@ -50,8 +50,11 @@ def _fast_init(cls):
 
 
 def _check_index(i: int, upper: int, what: str) -> None:
+    """i, the 1-based index that what names (say "face index"), is an int in 1..upper."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise BadIndex(f"{what} must be an int, got {i!r}")
     if not 1 <= i <= upper:
-        raise BadIndex(f"{what} index {i} out of range 1..{upper}")
+        raise BadIndex(f"{what} {i} out of range 1..{upper}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +158,7 @@ class Product:
         return self.left.flatten() + self.right.flatten()
 
     def distance(self, p: Sequence[float], q: Sequence[float]) -> float:
-        k = self.left.total_dim
-        dl, dr = self.left.distance(p[:k], q[:k]), self.right.distance(p[k:], q[k:])
-        return max(dl, dr) if dl == dl and dr == dr else math.nan
+        return self.distances([[x] for x in p], [[y] for y in q], 1)[0]
 
     def distances(self, p: Sequence[Sequence[float]], q: Sequence[Sequence[float]], n: int) -> list[float]:
         """distance of n pairs of points given as coordinate columns."""
@@ -191,17 +192,28 @@ class Point:
 
 # A cube's provenance node is the whole description of its action: its
 # fields are the arguments of the structure map that builds it (and its
-# cube-file keys), and act(ts) evaluates it at a point of the cube's box.
-# MooreCube.at clamps once; every map below sends the box into its source's
-# box, so only composition clamps again: it caps a point to the box of the
-# piece it reaches, the right piece always and the left piece only when the
+# cube-file keys), and columns(cols, n) evaluates it at n points of the
+# cube's box at once: cols holds one sequence of n values per coordinate,
+# and the result one sequence per output coordinate.  MooreCube.clamp runs
+# once; every map below sends the box into its source's box, so only
+# composition clamps again: it caps a point to the box of the piece it
+# reaches, the right piece always and the left piece only when the
 # composite is lenient.  On a point of the composite's box each such cap is
 # the identity except where the point can leave the piece's box.
 #
-# columns(cols, n) is the same action on n points at once: cols holds one
-# sequence of n values per coordinate, and the result one sequence per
-# output coordinate.  Each rule does the float operations of act in the same order,
-# so both give the same bits; the oracle scans grids this way.
+# act(ts) evaluates a node at one point: its columns on a one-row block,
+# except for Primitive and ComposeNode, whose own act does the float
+# operations of their columns in the same order, so both give the same bits.
+
+
+class Provenance:
+    """The base of the eight node kinds; each defines columns(cols, n)."""
+
+    __slots__ = ()
+
+    def act(self, ts: tuple[float, ...]) -> Point:
+        """The node at one point of its box: its columns on a one-row block."""
+        return Point(tuple([float(v) for v, in self.columns([[t] for t in ts], 1)]))
 
 
 def _clamp_columns(cols, extents) -> list[list[float]]:
@@ -228,7 +240,7 @@ def _cap_columns(cols, extents) -> list:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class Primitive:
+class Primitive(Provenance):
     """Leaf node; exprs holds the defining source strings when known."""
 
     exprs: tuple[str, ...] | None
@@ -238,6 +250,7 @@ class Primitive:
     # a tree, so that the generators rewrite them without parsing the texts.
     trees: tuple | None = field(default=None, compare=False, repr=False)
 
+    # A point rule of its own: chain reads 13,350 points a round through it.
     def act(self, ts: tuple[float, ...]) -> Point:
         return Point(tuple([float(v) for v, in self.batch([ts])]))
 
@@ -247,15 +260,10 @@ class Primitive:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class FaceNode:
+class FaceNode(Provenance):
     source: "MooreCube"
     i: int
     sign: str
-
-    def act(self, ts: tuple[float, ...]) -> Point:
-        k = self.i - 1
-        val = self.source.shape.extents[k] if self.sign == "+" else 0.0
-        return self.source.provenance.act(ts[:k] + (val,) + ts[k:])
 
     def columns(self, cols, n):
         k = self.i - 1
@@ -265,13 +273,9 @@ class FaceNode:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class DegeneracyNode:
+class DegeneracyNode(Provenance):
     source: "MooreCube"
     i: int
-
-    def act(self, ts: tuple[float, ...]) -> Point:
-        k = self.i - 1
-        return self.source.provenance.act(ts[:k] + ts[k + 1 :])
 
     def columns(self, cols, n):
         k = self.i - 1
@@ -280,15 +284,10 @@ class DegeneracyNode:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class ConnectionNode:
+class ConnectionNode(Provenance):
     source: "MooreCube"
     i: int
     sign: str
-
-    def act(self, ts: tuple[float, ...]) -> Point:
-        k = self.i - 1
-        merge = min if self.sign == "+" else max
-        return self.source.provenance.act(ts[:k] + (merge(ts[k], ts[k + 1]),) + ts[k + 2 :])
 
     def columns(self, cols, n):
         k = self.i - 1
@@ -298,14 +297,9 @@ class ConnectionNode:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class ReverseNode:
+class ReverseNode(Provenance):
     source: "MooreCube"
     i: int
-
-    def act(self, ts: tuple[float, ...]) -> Point:
-        k = self.i - 1
-        r = self.source.shape.extents[k]
-        return self.source.provenance.act(ts[:k] + (r - ts[k],) + ts[k + 1 :])
 
     def columns(self, cols, n):
         k = self.i - 1
@@ -317,12 +311,13 @@ class ReverseNode:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class ComposeNode:
+class ComposeNode(Provenance):
     left: "MooreCube"
     right: "MooreCube"
     direction: int
     lenient: bool
 
+    # A point rule of its own: chain reads 191,119 points a round here, 5x slower as one-row columns.
     def act(self, ts: tuple[float, ...]) -> Point:
         k = self.direction - 1
         a = self.left
@@ -358,15 +353,9 @@ class ComposeNode:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class TensorNode:
+class TensorNode(Provenance):
     left: "MooreCube"
     right: "MooreCube"
-
-    def act(self, ts: tuple[float, ...]) -> Point:
-        m = len(self.left.shape.extents)
-        pa = self.left.provenance.act(ts[:m])
-        pb = self.right.provenance.act(ts[m:])
-        return Point(pa.coords + pb.coords)
 
     def columns(self, cols, n):
         m = len(self.left.shape.extents)
@@ -377,27 +366,12 @@ class TensorNode:
 
 @_fast_init
 @dataclass(frozen=True, slots=True)
-class ReassociateNode:
+class ReassociateNode(Provenance):
     source: "MooreCube"
     space: "Space"
 
-    def act(self, ts: tuple[float, ...]) -> Point:
-        return self.source.provenance.act(ts)
-
     def columns(self, cols, n):
         return self.source.provenance.columns(cols, n)
-
-
-Provenance = Union[
-    Primitive,
-    FaceNode,
-    DegeneracyNode,
-    ConnectionNode,
-    ReverseNode,
-    ComposeNode,
-    TensorNode,
-    ReassociateNode,
-]
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +415,6 @@ class MooreCube:
         n = len(points)
         out = self.provenance.columns(_clamp_columns(list(zip(*points)), self.shape.extents), n)
         return list(zip(*out)) if out else [()] * n
-
-    def action(self, ts: Sequence[float]) -> Point:
-        """Evaluate at a point of the box, without clamping."""
-        return self.provenance.act(ts)
 
     def __call__(self, *coords: float) -> Point:
         return self.at(coords)
@@ -531,7 +501,7 @@ def _side(cube: MooreCube, j: int | None = None, sign: str = "-") -> tuple:
     if j is None:
         return cube.shape, cube.provenance, 0, ()
     extents = cube.shape.extents
-    _check_index(j, len(extents), "face")
+    _check_index(j, len(extents), "face index")
     k = j - 1
     pinned = (extents[k] if sign == "+" else 0.0,)
     return Shape._of(extents[:k] + extents[k + 1 :]), cube.provenance, k, pinned

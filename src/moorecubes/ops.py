@@ -36,7 +36,7 @@ class Sign(Enum):
 
 def face(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     """The (n-1)-cube obtained by fixing t_i at 0 (minus) or r_i (plus)."""
-    _check_index(i, c.dim, "face")
+    _check_index(i, c.dim, "face index")
     k = i - 1
     shape = Shape._of(c.shape.extents[:k] + c.shape.extents[k + 1 :])
     return MooreCube(shape, c.space, FaceNode(c, i, sign.value))
@@ -44,7 +44,7 @@ def face(c: MooreCube, i: int, sign: Sign) -> MooreCube:
 
 def degeneracy(c: MooreCube, i: int) -> MooreCube:
     """The (n+1)-cube that ignores a new zero-extent direction at slot i."""
-    _check_index(i, c.dim + 1, "degeneracy")
+    _check_index(i, c.dim + 1, "degeneracy index")
     k = i - 1
     shape = Shape._of(c.shape.extents[:k] + (0.0,) + c.shape.extents[k:])
     return MooreCube(shape, c.space, DegeneracyNode(c, i))
@@ -58,7 +58,7 @@ def connection(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     """
     if c.dim == 0:
         raise BadIndex("connection needs a cube of dimension >= 1")
-    _check_index(i, c.dim, "connection")
+    _check_index(i, c.dim, "connection index")
     k = i - 1
     r = c.shape.extents[k]
     shape = Shape._of(c.shape.extents[:k] + (r, r) + c.shape.extents[k + 1 :])
@@ -67,5 +67,5 @@ def connection(c: MooreCube, i: int, sign: Sign) -> MooreCube:
 
 def reverse(c: MooreCube, i: int) -> MooreCube:
     """The cube traversing direction i backwards: t_i maps to r_i - t_i."""
-    _check_index(i, c.dim, "reverse")
+    _check_index(i, c.dim, "reverse index")
     return MooreCube(c.shape, c.space, ReverseNode(c, i))

@@ -279,7 +279,7 @@ def test_criterion_6_shape_tolerance_gate(announce):
         for delta, expect_compose in ((1e-3, False), (1e-12, True)):
             extents = list(b.shape.extents)
             extents[1] += delta  # perturb the side extent, not the seam
-            perturbed = make_cube(2, extents, b.space, b.action)
+            perturbed = make_cube(2, extents, b.space, b.provenance.act)
             try:
                 compose_strict(a, perturbed, 1, ORACLE)
                 composed = True

@@ -1,4 +1,4 @@
-"""The oracle's grid evaluation agrees with MooreCube.at bit for bit."""
+"""MooreCube.at and the oracle's grid evaluation read the reference evaluator's bits."""
 from __future__ import annotations
 
 import math
@@ -6,6 +6,7 @@ import math
 import pytest
 
 from moorecubes import (
+    CompositionUndefined,
     EqualityOracle,
     EvalError,
     Euclidean,
@@ -25,28 +26,51 @@ from moorecubes import (
 )
 from moorecubes import core
 from moorecubes.lawlab import LAW_IDS, build_case
+from reference import reference
 
 oracle = EqualityOracle()
 E1 = Euclidean(1)
 
 
-def assert_agrees(cube, points):
+def assert_paths_agree(cube, points):
     """coords_at, which evaluates through the columns rules that the oracle's scan uses, reads what at reads."""
     points = [tuple(p) for p in points]
     want = [repr(cube.at(p).coords) for p in points]  # repr: NaN-aware, sign of zero kept
     assert [repr(v) for v in cube.coords_at(points)] == want
 
 
+def assert_agrees(cube, points):
+    """at and coords_at both read the reference evaluator's bits."""
+    points = [tuple(p) for p in points]
+    want = [repr(reference(cube, p)) for p in points]
+    assert [repr(cube.at(p).coords) for p in points] == want
+    assert [repr(v) for v in cube.coords_at(points)] == want
+
+
+def law_sides(law_id, k):
+    """(side, points) for both sides of each comparison of instance k: its strict and union grids."""
+    for _, lhs, rhs in build_case(law_id, seed=42, k=k, oracle=oracle).comparisons:
+        grids = [list(oracle.grid(lhs.shape))]
+        if lhs.dim == rhs.dim:
+            grids.append(list(oracle.union_grid(lhs.shape, rhs.shape)))
+        for points in grids:
+            yield lhs, points
+            yield rhs, points
+
+
 @pytest.mark.parametrize("law_id", LAW_IDS)
 def test_every_law_side_on_its_strict_and_union_grid(law_id):
     for k in range(20):
-        for _, lhs, rhs in build_case(law_id, seed=42, k=k, oracle=oracle).comparisons:
-            grids = [list(oracle.grid(lhs.shape))]
-            if lhs.dim == rhs.dim:
-                grids.append(list(oracle.union_grid(lhs.shape, rhs.shape)))
-            for points in grids:
-                assert_agrees(lhs, points)
-                assert_agrees(rhs, points)
+        for side, points in law_sides(law_id, k):
+            assert_paths_agree(side, points)
+
+
+@pytest.mark.parametrize("law_id", LAW_IDS)
+def test_every_law_side_reads_the_reference(law_id):
+    """Instances 0-4; the grids hold the probes past the extents."""
+    for k in range(5):
+        for side, points in law_sides(law_id, k):
+            assert_agrees(side, points)
 
 
 def square(extents=(1.0, 1.0), expr="t1^2 + 3*t2 - t1*t2"):
@@ -140,6 +164,97 @@ class TestCompose:
         c = compose_strict(row, top, 2)
         cube = reverse(connection(c, 1, Sign.MINUS), 2)
         assert_agrees(cube, probes(cube, [(1.0, 1.0, 1.0), (1.5, 0.2, 3.0)]))
+
+
+LINE = cube_from_exprs(1, (0.5,), E1, ["1 - t1"])
+
+# The six node kinds whose act is their columns on one row.
+PASS_THROUGH = {
+    "face": lambda c: face(c, 2, Sign.PLUS),
+    "degeneracy": lambda c: degeneracy(c, 1),
+    "connection": lambda c: connection(c, 1, Sign.MINUS),
+    "reverse": lambda c: reverse(c, 1),
+    "tensor": lambda c: tensor(c, LINE),
+    "reassociate": lambda c: reassociate(tensor(tensor(c, LINE), LINE), Product(c.space, Product(E1, E1))),
+}
+
+
+def outside(cube):
+    """probes(cube), and two points whose coordinates are below 0 and past the extents in turn."""
+    return probes(cube, [
+        [r + 2.5 if k % 2 else -1.0 for k, r in enumerate(cube.shape)],
+        [-1.0 if k % 2 else r + 2.5 for k, r in enumerate(cube.shape)],
+    ])
+
+
+def first_fault(evaluate, points):
+    """(index, message, span) of the first point at which evaluate raises EvalError."""
+    for k, p in enumerate(points):
+        try:
+            evaluate(p)
+        except EvalError as exc:
+            return k, str(exc), exc.span
+    return None
+
+
+@pytest.mark.parametrize("kind", PASS_THROUGH)
+class TestPassThroughPointRule:
+    """at of a face, degeneracy, connection, reverse, tensor or reassociate reads the reference's bits."""
+
+    def test_points_below_zero_and_past_the_extents(self, kind):
+        c = PASS_THROUGH[kind](square((1.0, 0.5)))
+        assert_agrees(c, outside(c))
+
+    def test_a_negative_zero_extent(self, kind):
+        c = PASS_THROUGH[kind](cube_from_exprs(2, (-0.0, 0.5), Euclidean(2), ["t1", "t1*t2 - t2"]))
+        points = outside(c)
+        assert_agrees(c, points)
+        assert "-0.0" in repr([c.at(p).coords for p in points])
+
+    def test_a_nan_leaf(self, kind):
+        c = PASS_THROUGH[kind](square((1.0, 0.5), "t1*t2*1e308*10 - t1*t2*1e308*10"))
+        points = outside(c)
+        assert_agrees(c, points)
+        assert "nan" in repr([c.at(p).coords for p in points])
+
+    def test_a_faulting_leaf(self, kind):
+        c = PASS_THROUGH[kind](square((1.0, 0.5), "1/(t1 - 0.5)"))
+        points = outside(c)
+        want = first_fault(c.at, points)
+        assert want[1:] == ("division by zero", (0, 12))
+        assert first_fault(lambda p: reference(c, p), points) == want
+
+
+class TestZeroDimensionalComparisons:
+    """The oracle's 0-d scan reads a face or seam through the node's act."""
+
+    a = cube_from_exprs(1, (0.3,), E1, ["0.1 + t1^3/7"])
+    b = cube_from_exprs(1, (0.7,), E1, ["0.1 + 0.3^3/7 + sin(t1)"])
+    off = cube_from_exprs(1, (0.7,), E1, ["0.1 + 0.3^3/7 + 1e-6 + sin(t1)"])
+
+    def test_a_face_of_a_composite_against_a_face_of_its_piece(self):
+        ab = compose_strict(self.a, self.b, 1)
+        eq = oracle.equals_strict(face(ab, 1, Sign.MINUS), face(self.a, 1, Sign.MINUS))
+        assert repr(eq) == "Equality(equal=True, reason='equal', witness=None, detail=None)"
+        eq = oracle.equals_strict(face(ab, 1, Sign.PLUS), face(self.a, 1, Sign.PLUS))
+        assert repr(eq) == (
+            "Equality(equal=False, reason='action', witness=EqualityWitness(point=(), "
+            "left=Point(coords=(0.7480748300948339,)), right=Point(coords=(0.10385714285714286,)), "
+            "distance=0.644217687237691), detail=None)"
+        )
+
+    def test_the_seam_of_two_reversed_pieces(self):
+        ba = compose_strict(reverse(self.b, 1), reverse(self.a, 1), 1)
+        assert ba.shape.extents == (1.0,)
+        eq = oracle.equals_faces(reverse(self.off, 1), reverse(self.a, 1), 1)
+        witness = (
+            "EqualityWitness(point=(), left=Point(coords=(0.10385814285714286,)), "
+            "right=Point(coords=(0.10385714285714286,)), distance=1.000000000001e-06)"
+        )
+        assert repr(eq) == f"Equality(equal=False, reason='action', witness={witness}, detail=None)"
+        with pytest.raises(CompositionUndefined) as info:
+            compose_strict(reverse(self.off, 1), reverse(self.a, 1), 1)
+        assert str(info.value) == f"faces in direction 1 differ (action): {witness}"
 
 
 def point_scan(a, b, points):

@@ -129,7 +129,7 @@ class TestMooreCube:
 
     def test_a_dsl_leaf_acts_with_float_coordinates(self):
         # the action is not clamped, so an int coordinate reaches the leaf's code
-        value = cube_from_exprs(1, (1.0,), Euclidean(1), ["t1"]).action((1,))
+        value = cube_from_exprs(1, (1.0,), Euclidean(1), ["t1"]).provenance.act((1,))
         assert value == Point((1.0,)) and type(value.coords[0]) is float
 
     def test_point_cube_has_dimension_zero(self):
@@ -186,14 +186,14 @@ class TestEqualityOracle:
                 EqualityOracle(tol_shape=bad)
 
     def test_strict_requires_matching_shape(self, c_square):
-        other = make_cube(1, (2.5,), Euclidean(1), c_square.action)
+        other = make_cube(1, (2.5,), Euclidean(1), c_square.provenance.act)
         oracle = EqualityOracle()
         eq = oracle.equals_strict(c_square, other)
         assert not eq and eq.reason == "shape"
         assert "2.0" in eq.detail and "2.5" in eq.detail
 
     def test_strict_accepts_shape_within_tolerance(self, c_square):
-        other = make_cube(1, (2.0 + 1e-12,), Euclidean(1), c_square.action)
+        other = make_cube(1, (2.0 + 1e-12,), Euclidean(1), c_square.provenance.act)
         assert EqualityOracle().equals_strict(c_square, other)
 
     def test_action_ignores_shape_but_probes_union_grid(self, c_square):

@@ -12,10 +12,12 @@ from moorecubes import (
     EqualityOracle,
     Euclidean,
     Sign,
+    compose_strict,
     connection,
     degeneracy,
     face,
     make_cube,
+    multi_compose,
     point_cube,
     reverse,
 )
@@ -139,6 +141,50 @@ class TestReverse:
     def test_provenance_records_the_operation(self, c_square):
         node = reverse(c_square, 1).provenance
         assert isinstance(node, ReverseNode) and node.i == 1
+
+
+class TestIndicesMustBeInts:
+    """An index that is not an int, or is a bool, is refused before anything is built."""
+
+    @staticmethod
+    def cube():
+        return make_cube(2, (1.0, 2.0), Euclidean(1), lambda ts: (ts[0] * ts[1],))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: face(c, 1.0, Sign.PLUS),
+            lambda c: face(c, True, Sign.PLUS),
+            lambda c: degeneracy(c, 1.5),
+            lambda c: connection(c, 1.0, Sign.MINUS),
+            lambda c: reverse(c, 2.0),
+            lambda c: reverse(c, True),
+            lambda c: oracle.equals_faces(c, c, 1.0),
+        ],
+        ids=["face-float", "face-bool", "degeneracy", "connection", "reverse-float", "reverse-bool", "seam"],
+    )
+    def test_structure_maps(self, build):
+        with pytest.raises(BadIndex, match=r"index must be an int, got (1\.0|True|1\.5|2\.0)$"):
+            build(self.cube())
+
+    @pytest.mark.parametrize("j", [1.0, True])
+    def test_composition_direction(self, j):
+        c = self.cube()
+        with pytest.raises(BadIndex, match=f"composition direction must be an int, got {j!r}$"):
+            compose_strict(c, c, j)
+
+    @pytest.mark.parametrize("order", [[1.0, 2.0], [True, 2], (2, 1.0)])
+    def test_fold_order(self, order):
+        c = self.cube()
+        with pytest.raises(BadIndex, match="is not a permutation of 1..2"):
+            multi_compose([[c, c], [c, c]], fold_order=order)
+
+    def test_out_of_range_ints_keep_their_message(self):
+        c = self.cube()
+        with pytest.raises(BadIndex, match="^reverse index 3 out of range 1..2$"):
+            reverse(c, 3)
+        with pytest.raises(BadIndex, match="^composition direction 0 out of range 1..2$"):
+            compose_strict(c, c, 0)
 
 
 class TestSign:
