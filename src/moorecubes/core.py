@@ -13,40 +13,10 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import BadIndex, DimensionMismatch, InvalidShape
-
-
-def _slots_init(cls) -> Callable:
-    """An __init__ for cls, a frozen slots dataclass, that runs no __post_init__.
-
-    cls has no default_factory.  The __init__ takes the dataclass's
-    parameters, defaults included, and sets each field's slot through the
-    member descriptor that cls holds for it.  The dataclass's own __init__
-    goes through object.__setattr__ (assignment is what frozen forbids),
-    which looks the name up again on every call.
-    """
-    params, body, names = [], [], {}
-    for f in fields(cls):
-        names[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            params.append(f"{f.name}=_default_{f.name}")
-            names[f"_default_{f.name}"] = f.default
-        body.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", names)
-    init = names["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
-def _fast_init(cls):
-    """Class decorator: cls, which has no __post_init__, built by _slots_init(cls)."""
-    cls.__init__ = _slots_init(cls)
-    return cls
 
 
 def _check_index(i: int, upper: int, what: str) -> None:
@@ -78,17 +48,18 @@ class Shape:
         exts = tuple(map(float, self.extents))
         for r in exts:
             _extent(r)
-        _shape_init(self, exts)
+        object.__setattr__(self, "extents", exts)
 
     @classmethod
     def _of(cls, extents: tuple[float, ...]) -> "Shape":
         """The Shape of extents that are already checked floats, not checked again.
 
-        The structure maps build their shapes this way from their sources'
-        extents, which a Shape checked when it was made.
+        The structure maps build their shapes this way, about 19,000 in a
+        lawlab round, from their sources' extents, which a Shape checked
+        when it was made.
         """
         shape = object.__new__(cls)
-        _shape_init(shape, extents)
+        object.__setattr__(shape, "extents", extents)
         return shape
 
     def __len__(self) -> int:
@@ -99,9 +70,6 @@ class Shape:
 
     def __getitem__(self, k: int) -> float:
         return self.extents[k]
-
-
-_shape_init = _slots_init(Shape)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +138,6 @@ class Product:
 Space = Union[Euclidean, Product]
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Point:
     """A point of a target space, stored as flat coordinates."""
@@ -238,7 +205,6 @@ def _cap_columns(cols, extents) -> list:
     return [[r if t > r else t for t in col] for col, r in zip(cols, extents)]
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Primitive(Provenance):
     """Leaf node; exprs holds the defining source strings when known."""
@@ -258,7 +224,6 @@ class Primitive(Provenance):
         return self.batch(list(zip(*cols)) if cols else [()] * n)
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class FaceNode(Provenance):
     source: "MooreCube"
@@ -271,7 +236,6 @@ class FaceNode(Provenance):
         return self.source.provenance.columns(cols[:k] + [[val] * n] + cols[k:], n)
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class DegeneracyNode(Provenance):
     source: "MooreCube"
@@ -282,7 +246,6 @@ class DegeneracyNode(Provenance):
         return self.source.provenance.columns(cols[:k] + cols[k + 1 :], n)
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class ConnectionNode(Provenance):
     source: "MooreCube"
@@ -295,7 +258,6 @@ class ConnectionNode(Provenance):
         return self.source.provenance.columns(cols[:k] + [merged] + cols[k + 2 :], n)
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class ReverseNode(Provenance):
     source: "MooreCube"
@@ -309,7 +271,6 @@ class ReverseNode(Provenance):
         )
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class ComposeNode(Provenance):
     left: "MooreCube"
@@ -351,7 +312,6 @@ class ComposeNode(Provenance):
         return merged
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class TensorNode(Provenance):
     left: "MooreCube"
@@ -364,7 +324,6 @@ class TensorNode(Provenance):
         )
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class ReassociateNode(Provenance):
     source: "MooreCube"
@@ -378,7 +337,6 @@ class ReassociateNode(Provenance):
 # cubes
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True, eq=False)
 class MooreCube:
     """A shape vector, a target space, and the node that acts on the box."""
@@ -610,7 +568,6 @@ class EqualityWitness:
     distance: float
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Equality:
     """Outcome of an oracle comparison; truthy exactly when equal.

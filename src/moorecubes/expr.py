@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import MooreCube, Shape, Space, _fast_init, _leaf
+from .core import MooreCube, Shape, Space, _leaf
 from .errors import DimensionMismatch, EvalError, ParseError
 
 FUNCTIONS: dict[str, tuple[int, Callable]] = {
@@ -70,14 +70,12 @@ _TOO_DEEP = f"expression nested too deeply (the limit is {MAX_DEPTH} levels)"
 # AST
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Num:
     value: float
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Var:
     index: int  # 1-based
@@ -88,7 +86,6 @@ class Var:
         return f"t{self.index}"
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Unary:
     op: str
@@ -96,7 +93,6 @@ class Unary:
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Bin:
     op: str
@@ -105,7 +101,6 @@ class Bin:
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@_fast_init
 @dataclass(frozen=True, slots=True)
 class Call:
     fn: str
@@ -632,7 +627,8 @@ def _dsl_cube(
 ) -> MooreCube:
     """The cube of cube_from_exprs from (text, tree) pairs, one per coordinate of space.
 
-    Each tree must be parse_expr(text) and is compiled as it is drawn; a
+    Each tree must be parse_expr(text) and is compiled as it is drawn, to
+    compile_expr's code without its wrapper (batch catches the faults); a
     text without a tree gets its code from _leaf_code.  The trees are kept
     when every text has one.
     """
@@ -642,7 +638,7 @@ def _dsl_cube(
     for source, node in leaves:
         sources.append(source)
         nodes.append(node)
-        fns.append(_leaf_code(source, dim) if node is None else compile_expr(node, dim).code)
+        fns.append(_leaf_code(source, dim) if node is None else _bind(*_emit(node, dim)))
     texts = tuple(sources)
     trees = None if None in nodes else tuple(nodes)
 

@@ -58,6 +58,14 @@ def _polys(rng: random.Random, dim: int, count: int) -> list[tuple[str, Expr]]:
     return [_poly(rng, dim, trig=rng.random() < P_TRIG) for _ in range(count)]
 
 
+def _check_direction(j: int, dim: int) -> None:
+    """j, a direction of a cube of dimension dim, is an int in 1..dim (BadIndex otherwise)."""
+    if not isinstance(j, int) or isinstance(j, bool):
+        raise BadIndex(f"direction must be an int, got {j!r}")
+    if not 1 <= j <= dim:
+        raise BadIndex(f"direction {j} out of range for dimension {dim}")
+
+
 def _trees(c: MooreCube) -> Sequence[Expr]:
     """The parsed expressions of a DSL primitive c; TypeError for any other cube.
 
@@ -104,8 +112,7 @@ def extend_chain(
     """
     trees = _trees(prev)
     dim = prev.dim
-    if not 1 <= j <= dim:
-        raise BadIndex(f"direction {j} out of range for dimension {dim}")
+    _check_direction(j, dim)
     seams = [substitute(p, j, Num(prev.shape[j - 1])) for p in trees]
     extents = list(prev.shape.extents)
     extents[j - 1] = (
@@ -139,8 +146,9 @@ def subdivide(c: MooreCube, j: int, cut: float) -> tuple[MooreCube, MooreCube]:
     c's shape exactly, and past the cut it reads c at (t_j - cut) + cut.
     """
     trees = _trees(c)
-    if not 1 <= j <= c.dim:
-        raise BadIndex(f"direction {j} out of range for dimension {c.dim}")
+    _check_direction(j, c.dim)
+    if not isinstance(cut, (int, float)) or isinstance(cut, bool):
+        raise BadIndex(f"cut must be a number, got {cut!r}")
     r = c.shape.extents[j - 1]
     if not 0.0 <= cut <= r:
         raise BadIndex(f"cut {cut} outside [0, {r}]")

@@ -34,12 +34,19 @@ class Sign(Enum):
         return self.value
 
 
+def _sign_value(sign: Sign) -> str:
+    """The text of sign, which must be Sign.MINUS or Sign.PLUS (BadIndex otherwise)."""
+    if not isinstance(sign, Sign):
+        raise BadIndex(f"sign must be Sign.MINUS or Sign.PLUS, got {sign!r}")
+    return sign.value
+
+
 def face(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     """The (n-1)-cube obtained by fixing t_i at 0 (minus) or r_i (plus)."""
     _check_index(i, c.dim, "face index")
     k = i - 1
     shape = Shape._of(c.shape.extents[:k] + c.shape.extents[k + 1 :])
-    return MooreCube(shape, c.space, FaceNode(c, i, sign.value))
+    return MooreCube(shape, c.space, FaceNode(c, i, _sign_value(sign)))
 
 
 def degeneracy(c: MooreCube, i: int) -> MooreCube:
@@ -62,7 +69,7 @@ def connection(c: MooreCube, i: int, sign: Sign) -> MooreCube:
     k = i - 1
     r = c.shape.extents[k]
     shape = Shape._of(c.shape.extents[:k] + (r, r) + c.shape.extents[k + 1 :])
-    return MooreCube(shape, c.space, ConnectionNode(c, i, sign.value))
+    return MooreCube(shape, c.space, ConnectionNode(c, i, _sign_value(sign)))
 
 
 def reverse(c: MooreCube, i: int) -> MooreCube:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -110,6 +111,25 @@ class TestBadIndex:
         for j in (0, 2):
             with pytest.raises(BadIndex, match=f"direction {j} out of range for dimension 1"):
                 subdivide(cube, j, 0.0)
+
+    @pytest.mark.parametrize("j", [1.0, True, "1", None])
+    def test_a_direction_that_is_not_an_int_is_refused(self, j):
+        cube = gen_cube(random.Random(0), 1)
+        with pytest.raises(BadIndex, match=f"direction must be an int, got {j!r}$"):
+            subdivide(cube, j, 0.5)
+        with pytest.raises(BadIndex, match=f"direction must be an int, got {j!r}$"):
+            extend_chain(random.Random(0), cube, j)
+
+    @pytest.mark.parametrize("cut", ["0.5", None, True, (0.5,)])
+    def test_a_cut_that_is_not_a_number_is_refused(self, cut):
+        cube = gen_cube(random.Random(0), 1, allow_zero=False)
+        with pytest.raises(BadIndex, match=re.escape(f"cut must be a number, got {cut!r}") + "$"):
+            subdivide(cube, 1, cut)
+
+    def test_an_int_cut_is_a_number(self):
+        cube = cube_from_exprs(1, (2.0,), Euclidean(1), ["t1"])
+        left, right = subdivide(cube, 1, 1)
+        assert left.shape.extents == (1.0,) and right.shape.extents == (1.0,)
 
     def test_quadrants_of_a_1_cube(self):
         cube = gen_cube(random.Random(0), 1)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,13 @@ class TestSign:
     def test_opposite(self):
         assert Sign.MINUS.opposite is Sign.PLUS
         assert Sign.PLUS.opposite is Sign.MINUS
+
+    @pytest.mark.parametrize("sign", ["+", "-", None, 1, True])
+    @pytest.mark.parametrize("op", [face, connection], ids=["face", "connection"])
+    def test_a_sign_that_is_not_a_sign_is_refused(self, op, sign):
+        c = make_cube(2, (1.0, 2.0), Euclidean(1), lambda ts: (ts[0] * ts[1],))
+        with pytest.raises(BadIndex, match=re.escape(f"sign must be Sign.MINUS or Sign.PLUS, got {sign!r}") + "$"):
+            op(c, 1, sign)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
