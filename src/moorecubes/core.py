@@ -45,10 +45,12 @@ class Shape:
     extents: tuple[float, ...]
 
     def __post_init__(self):
-        exts = tuple(map(float, self.extents))
-        for r in exts:
-            _extent(r)
-        object.__setattr__(self, "extents", exts)
+        exts = []
+        for r in self.extents:
+            if not isinstance(r, (int, float)) or isinstance(r, bool):
+                raise InvalidShape(f"extent {r!r} is not a number")
+            exts.append(_extent(float(r)))
+        object.__setattr__(self, "extents", tuple(exts))
 
     @classmethod
     def _of(cls, extents: tuple[float, ...]) -> "Shape":
@@ -465,14 +467,6 @@ def _side(cube: MooreCube, j: int | None = None, sign: str = "-") -> tuple:
     return Shape._of(extents[:k] + extents[k + 1 :]), cube.provenance, k, pinned
 
 
-def _side_columns(side: tuple, cols: list, n: int) -> list:
-    """The side's node on n rows given as columns, its pinned column inserted."""
-    _, node, k, pinned = side
-    if pinned:
-        cols = cols[:k] + [[pinned[0]] * n] + cols[k:]
-    return node.columns(cols, n)
-
-
 def _distinct_axes(a: tuple, b: tuple, axes) -> tuple[list, list]:
     """Per axis, its grid values clamped into side a's box and into b's, one per class.
 
@@ -481,12 +475,13 @@ def _distinct_axes(a: tuple, b: tuple, axes) -> tuple[list, list]:
     oracle's axes increase, and clamping keeps their order, so a later grid
     value repeats an earlier one's pair only where both are clamped to the
     two extents: the classes are an axis's first values, up to the first
-    value of its last class.
+    value of the trailing run of pairs whose bits are the last pair's.
     """
     axes_a, axes_b = _clamp_columns(axes, a[0].extents), _clamp_columns(axes, b[0].extents)
     for k, (ta, tb) in enumerate(zip(axes_a, axes_b)):
-        keys = list(map(_BITS, ta, tb))
-        m = keys.index(keys[-1]) + 1
+        last, m = _BITS(ta[-1], tb[-1]), len(ta)
+        while m > 1 and _BITS(ta[m - 2], tb[m - 2]) == last:
+            m -= 1
         axes_a[k], axes_b[k] = ta[:m], tb[:m]
     return axes_a, axes_b
 
@@ -500,19 +495,6 @@ def _point(axes, sizes, i: int) -> tuple[float, ...]:
     return tuple(row[::-1])
 
 
-def _product_columns(axes) -> list[list]:
-    """The columns of itertools.product(*axes)."""
-    n = math.prod(map(len, axes))
-    cols, run = [], n
-    for axis in axes:
-        run //= len(axis)
-        col = []
-        for v in axis:
-            col += [v] * run
-        cols.append(col * (n // len(col)))
-    return cols
-
-
 def _product_blocks(*sides) -> Iterator[tuple]:
     """(n, columns of each side) for blocks of rows of itertools.product(*axes).
 
@@ -522,40 +504,21 @@ def _product_blocks(*sides) -> Iterator[tuple]:
     """
     n = math.prod(map(len, sides[0]))
     if n <= SCAN_BLOCK:  # one block on every lab grid
-        yield n, *map(_product_columns, sides)
+        block = []
+        for axes in sides:  # the columns of itertools.product(*axes)
+            cols, run = [], n
+            for axis in axes:
+                run //= len(axis)
+                col = []
+                for v in axis:
+                    col += [v] * run
+                cols.append(col * (n // len(col)))
+            block.append(cols)
+        yield n, *block
         return
     for k in range(len(sides[0][0])):
         for m, *cols in _product_blocks(*(axes[1:] for axes in sides)):
             yield m, *([[axes[0][k]] * m] + c for axes, c in zip(sides, cols))
-
-
-def _blocks(a: tuple, b: tuple, axes) -> Iterator[tuple]:
-    """(n, point, a's columns, b's columns) for blocks of grid rows, in grid order.
-
-    a and b are _sides, and the grid is itertools.product(*axes).  Each
-    side is evaluated on columns once per distinct clamped row, the row of
-    each class's first grid values: every grid point reads what its row reads, and no point
-    comes before its row, so the first farthest (or NaN) point of the grid
-    is such a row, and so is the first point at which evaluating a and then
-    b at each grid point in turn would fault.  point(k) is the grid point
-    of the block's row k.  A block that raises is evaluated again a row at
-    a time, a and then b on each row, so a fault raises that error.
-    """
-    axes_a, axes_b = _distinct_axes(a, b, axes)
-    sizes = list(map(len, axes_a))  # a class sits where its first grid value does
-    start = 0
-    for n, cols_a, cols_b in _product_blocks(axes_a, axes_b):
-        try:
-            sides = _side_columns(a, cols_a, n), _side_columns(b, cols_b, n)
-        except Exception:
-            # One block per row, made lazily, as the scan stops at a NaN.
-            for k in range(n):
-                row_a = _side_columns(a, [[col[k]] for col in cols_a], 1)
-                row_b = _side_columns(b, [[col[k]] for col in cols_b], 1)
-                yield 1, lambda _, i=start + k: _point(axes, sizes, i), row_a, row_b
-        else:
-            yield n, lambda k, start=start: _point(axes, sizes, start + k), *sides
-        start += n
 
 
 @dataclass(frozen=True, slots=True)
@@ -610,6 +573,8 @@ class EqualityOracle:
             raise ValueError("samples_per_axis must be >= 2")
         for name in ("tol_val", "tol_shape"):
             tol = getattr(self, name)
+            if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+                raise ValueError(f"{name} must be a number, got {tol!r}")
             if not (math.isfinite(tol) and tol >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
@@ -641,43 +606,20 @@ class EqualityOracle:
             abs(x - y) <= self.tol_shape for x, y in zip(ra, rb)
         )
 
-    def _scan(self, space: Space, a: tuple, b: tuple, axes, pts) -> Equality:
-        """Compare _sides a and b on pts, the grid itertools.product(*axes).
-
-        pts is walked to its end, also where the scan evaluates fewer rows,
-        so a subclass that wraps grid or union_grid sees every point of it.
-        """
-        if axes:
-            distances = space.distances
-            worst = -1.0
-            for n, point, cols_a, cols_b in _blocks(a, b, axes):
-                ds = distances(cols_a, cols_b, n)
-                total = sum(ds)
-                if total != total:  # a NaN: the first NaN point is the witness
-                    k = next(k for k, d in enumerate(ds) if d != d)
-                else:
-                    k = ds.index(max(ds))  # the block's first farthest point
-                    if not ds[k] > worst:
-                        continue
-                worst = ds[k]
-                found = point, k, cols_a, cols_b
-                if worst != worst:
-                    break
-            collections.deque(pts, 0)
-            if worst <= self.tol_val:
-                return _EQUAL
-            point, k, cols_a, cols_b = found  # tuples are built for the witness only
-            t, pa, pb = point(k), tuple(col[k] for col in cols_a), tuple(col[k] for col in cols_b)
-        else:  # the one point (), cheaper alone; clamping it changes nothing
-            (t,) = pts
-            pa, pb = a[1].act(a[3]).coords, b[1].act(b[3]).coords  # () with the pinned value
-            worst = space.distance(pa, pb)
-            if worst <= self.tol_val:
-                return _EQUAL
-        return Equality(False, "action", EqualityWitness(t, Point(pa), Point(pb), worst))
-
     def _compare(self, space_a: Space, space_b: Space, a: tuple, b: tuple, lenient: bool) -> Equality:
-        """equals_strict, or equals_action when lenient, of _sides a and b."""
+        """equals_strict, or equals_action when lenient, of _sides a and b.
+
+        Each side is evaluated on columns once per distinct clamped row, the
+        row of each class's first grid values (_distinct_axes), in blocks of
+        at most SCAN_BLOCK rows.  Every grid point reads what its row reads,
+        and no point comes before its row, so the first farthest (or NaN)
+        point of the grid is such a row, and so is the first point at which
+        evaluating a and then b at each grid point in turn would fault: a
+        block that raises is evaluated again a row at a time, a and then b
+        on each row.  The grid iterator pts is walked to its end, also where
+        fewer rows are read, so a subclass that wraps grid or union_grid
+        sees every point of it.
+        """
         shape_a, shape_b = a[0], b[0]
         dim_a, dim_b = len(shape_a.extents), len(shape_b.extents)
         if dim_a != dim_b:
@@ -694,7 +636,49 @@ class EqualityOracle:
             )
         else:
             axes, pts = self._axes(shape_a), self.grid(shape_a)
-        return self._scan(space_a, a, b, axes, pts)
+        if not axes:  # the one point (), cheaper alone; clamping it changes nothing
+            (t,) = pts
+            pa, pb = a[1].act(a[3]).coords, b[1].act(b[3]).coords  # () with the pinned value
+            worst = space_a.distance(pa, pb)
+            if worst <= self.tol_val:
+                return _EQUAL
+            return Equality(False, "action", EqualityWitness(t, Point(pa), Point(pb), worst))
+        axes_a, axes_b = _distinct_axes(a, b, axes)
+        sizes = list(map(len, axes_a))  # a class sits where its first grid value does
+        if a[3]:  # a face: its pinned value is a column of its own, where FaceNode inserts it
+            axes_a.insert(a[2], list(a[3]))
+            axes_b.insert(b[2], list(b[3]))
+        node_a, node_b, distances = a[1].columns, b[1].columns, space_a.distances
+        worst, start = -1.0, 0
+        for n, cols_a, cols_b in _product_blocks(axes_a, axes_b):
+            try:
+                rows = [(0, n, node_a(cols_a, n), node_b(cols_b, n))]
+            except Exception:  # one row at a time, made lazily, as the scan stops at a NaN
+                rows = (
+                    (i, 1, node_a([[c[i]] for c in cols_a], 1), node_b([[c[i]] for c in cols_b], 1))
+                    for i in range(n)
+                )
+            for first, m, vals_a, vals_b in rows:
+                ds = distances(vals_a, vals_b, m)
+                total = sum(ds)
+                if total != total:  # a NaN: the first NaN row is the witness
+                    k = next(k for k, d in enumerate(ds) if d != d)
+                else:
+                    k = ds.index(max(ds))  # the first farthest row
+                    if not ds[k] > worst:
+                        continue
+                worst, found = ds[k], (start + first + k, k, vals_a, vals_b)
+                if worst != worst:
+                    break
+            if worst != worst:
+                break
+            start += n
+        collections.deque(pts, 0)
+        if worst <= self.tol_val:
+            return _EQUAL
+        i, k, vals_a, vals_b = found  # tuples are built for the witness only
+        t, pa, pb = _point(axes, sizes, i), tuple(c[k] for c in vals_a), tuple(c[k] for c in vals_b)
+        return Equality(False, "action", EqualityWitness(t, Point(pa), Point(pb), worst))
 
     def equals_strict(self, a: MooreCube, b: MooreCube) -> Equality:
         """Same dim, space, shape (within tol_shape), and values on a's grid."""

@@ -605,6 +605,8 @@ def cube_from_exprs(
     text.  The code of a text comes from _leaf_code, which compiles each
     shape of text once.
     """
+    if isinstance(exprs, str):
+        raise TypeError(f"exprs must be a sequence of expressions, one per coordinate, not the str {exprs!r}")
     if len(exprs) != space.total_dim:
         raise DimensionMismatch(
             f"{len(exprs)} expression(s) for a space of dimension {space.total_dim}"

@@ -3,7 +3,24 @@ from __future__ import annotations
 
 import pytest
 
-from moorecubes import Euclidean, MooreCube, expr, make_cube
+from moorecubes import (
+    Euclidean,
+    MooreCube,
+    Product,
+    Sign,
+    compose_lenient,
+    compose_strict,
+    connection,
+    degeneracy,
+    expr,
+    extend_chain,
+    face,
+    gen_cube,
+    make_cube,
+    reassociate,
+    reverse,
+    tensor,
+)
 
 # Twenty expression cases whose results are exact IEEE-754 doubles that can
 # be derived by hand. They are asserted with == (no tolerance) against both
@@ -73,3 +90,59 @@ def c_square() -> MooreCube:
 @pytest.fixture
 def c_line() -> MooreCube:
     return line_path()
+
+
+def rebracketed(space):
+    """The other bracketing of a product of three factors, or the space itself."""
+    if isinstance(space, Product) and isinstance(space.left, Product):
+        return Product(space.left.left, Product(space.left.right, space.right))
+    if isinstance(space, Product) and isinstance(space.right, Product):
+        return Product(Product(space.left, space.right.left), space.right.right)
+    return space
+
+
+def mapped(rng, name, c):
+    """c under the structure map name, with indices drawn from rng."""
+    i, sign = rng.randint(1, max(c.dim, 1)), rng.choice(list(Sign))
+    if name == "face":
+        return face(c, i, sign)
+    if name == "degeneracy":
+        return degeneracy(c, rng.randint(1, c.dim + 1))
+    if name == "connection":
+        return connection(c, i, sign)
+    if name == "reverse":
+        return reverse(c, i)
+    if name == "strict":  # then a zero-extent piece on c's upper i-face
+        return compose_strict(c, degeneracy(face(c, i, Sign.PLUS), i), i)
+    if name == "lenient":  # after a zero-extent piece on c's lower i-face
+        return compose_lenient(degeneracy(face(c, i, Sign.MINUS), i), c, i)
+    if name == "chain":
+        return compose_strict(c, extend_chain(rng, c, i), i)
+    if name == "tensor":
+        return tensor(c, gen_cube(rng, rng.randint(0, 1)))
+    return reassociate(c, rebracketed(c.space))
+
+
+# The dimensions each structure map of the fuzz cubes is applied at.
+MAP_DIMS = {
+    "face": range(1, 5),
+    "degeneracy": range(0, 4),
+    "connection": range(1, 4),
+    "reverse": range(1, 5),
+    "strict": range(1, 4),
+    "lenient": range(1, 4),
+    "chain": range(1, 4),
+    "tensor": range(0, 4),
+    "reassociate": range(0, 5),
+}
+
+
+def fuzz_cube(rng, dim, names):
+    """gen_cube(rng, dim) under each structure map of names in turn, where MAP_DIMS allows it."""
+    cube = gen_cube(rng, dim)
+    for name in names:
+        if name == "chain" and getattr(cube.provenance, "exprs", None) is None:
+            continue  # extend_chain takes DSL leaves only
+        if cube.dim in MAP_DIMS[name]:
+            cube = mapped(rng, name, cube)
+    return cube

@@ -46,3 +46,11 @@ def reference(cube: core.MooreCube, ts) -> tuple[float, ...]:
         case core.ReassociateNode(source=c):
             return reference(c, ts)
     raise TypeError(f"no reference rule for {type(node).__name__}")
+
+
+def assert_agrees(cube: core.MooreCube, points) -> None:
+    """at and coords_at both read the reference evaluator's bits."""
+    points = [tuple(p) for p in points]
+    want = [repr(reference(cube, p)) for p in points]  # repr: NaN-aware, sign of zero kept
+    assert [repr(cube.at(p).coords) for p in points] == want
+    assert [repr(v) for v in cube.coords_at(points)] == want

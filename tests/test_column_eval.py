@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moorecubes import (
     CompositionUndefined,
@@ -24,9 +28,10 @@ from moorecubes import (
     reverse,
     tensor,
 )
-from moorecubes import core
+from conftest import MAP_DIMS, fuzz_cube, mapped
+from moorecubes import MooreCube, Shape, core, gen_cube
 from moorecubes.lawlab import LAW_IDS, build_case
-from reference import reference
+from reference import assert_agrees, reference
 
 oracle = EqualityOracle()
 E1 = Euclidean(1)
@@ -36,14 +41,6 @@ def assert_paths_agree(cube, points):
     """coords_at, which evaluates through the columns rules that the oracle's scan uses, reads what at reads."""
     points = [tuple(p) for p in points]
     want = [repr(cube.at(p).coords) for p in points]  # repr: NaN-aware, sign of zero kept
-    assert [repr(v) for v in cube.coords_at(points)] == want
-
-
-def assert_agrees(cube, points):
-    """at and coords_at both read the reference evaluator's bits."""
-    points = [tuple(p) for p in points]
-    want = [repr(reference(cube, p)) for p in points]
-    assert [repr(cube.at(p).coords) for p in points] == want
     assert [repr(v) for v in cube.coords_at(points)] == want
 
 
@@ -452,3 +449,87 @@ class TestDistinctRows:
         eq = oracle.equals_strict(a, b)
         assert not eq and eq.witness.point == (0.5, 0.5) and math.isnan(eq.witness.distance)
         assert oracle_scan(eq) == point_scan(a, b, oracle.grid(a.shape))
+
+
+def partner(rng, oracle, a, how):
+    """A cube to compare a with: a itself, or one built from it as how names."""
+    dim, extents = a.dim, a.shape.extents
+    if how == "same shape":
+        return gen_cube(rng, dim, space=a.space, shape=a.shape)
+    if how == "other shape":
+        return gen_cube(rng, dim, space=a.space)
+    if how == "near shape" and dim:  # wider by less than tol_shape, so its probe row is read apart
+        i = rng.randrange(dim)
+        return MooreCube(Shape(extents[:i] + (extents[i] + 1e-12,) + extents[i + 1 :]), a.space, a.provenance)
+    if how == "mapped":
+        names = [n for n in ("reverse", "strict", "lenient", "chain", "reassociate") if dim in MAP_DIMS[n]]
+        name = rng.choice(names)
+        if name != "chain" or getattr(a.provenance, "exprs", None) is not None:
+            return mapped(rng, name, a)
+    if how == "faulting":  # each coordinate faults on, or is NaN past, a grid value of one axis
+        def leaf():
+            if not dim:
+                return rng.choice(["1/0", "1e308*10 - 1e308*10", "2"])
+            i = rng.randint(1, dim)
+            x = repr(rng.choice(oracle.axis_samples(extents[i - 1])))
+            nan = f"(t{i} - {x})*1e308*10 - (t{i} - {x})*1e308*10"
+            return rng.choice([f"1/(t{i} - {x})", f"{x}*t{i} + 1/(t{i} - {x})", nan, f"{x}*t{i}"])
+
+        return cube_from_exprs(dim, extents, a.space, [leaf() for _ in range(a.space.total_dim)])
+    return a
+
+
+def assert_scans_as_at(oracle, a, b, lenient, compare):
+    """compare(), the oracle on a and b, is what at gives point by point on the whole grid.
+
+    That is the reason where the dims, the spaces or (when strict) the
+    shapes differ.  Otherwise it is equal exactly when the worst distance
+    is <= tol_val, else unequal with point_scan's witness; and where a side
+    faults, it raises point_error's error.
+    """
+    if a.dim != b.dim or a.space != b.space or not (lenient or oracle.shapes_equal(a.shape, b.shape)):
+        assert compare().reason == ("dim" if a.dim != b.dim else "space" if a.space != b.space else "shape")
+        return
+    points = list(oracle.union_grid(a.shape, b.shape) if lenient else oracle.grid(a.shape))
+    try:
+        want = point_scan(a, b, points)
+    except EvalError:
+        assert first_error(compare) == point_error(a, b, points)
+        return
+    eq = compare()
+    assert eq.equal == (float(want[0]) <= oracle.tol_val)  # a NaN distance is never equal
+    if eq:
+        assert eq.reason == "equal" and eq.witness is None
+    else:
+        assert eq.reason == "action" and oracle_scan(eq) == want
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+    st.lists(st.sampled_from(sorted(MAP_DIMS)), max_size=3),
+    st.lists(
+        st.sampled_from(["same", "same shape", "other shape", "near shape", "mapped", "faulting"]),
+        min_size=2,
+        max_size=2,
+    ),
+    st.sampled_from([1, 2, 7, 2048]),
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([0.0, 1e-9, 0.5]),
+)
+@example(38, 2, [], ["faulting", "faulting"], 7, 5, 1e-9)  # both sides fault first on one row: a's error
+@settings(max_examples=100, deadline=None)
+def test_the_oracle_gives_what_at_gives_point_by_point(seed, dim, names, hows, block, samples, tol):
+    """equals_strict, equals_action and equals_faces (strict and lenient) against point_scan."""
+    rng = random.Random(seed)
+    oracle = EqualityOracle(samples, tol)
+    cube = fuzz_cube(rng, dim, names)
+    a, b = (partner(rng, oracle, cube, how) for how in hows)
+    with mock.patch.object(core, "SCAN_BLOCK", block):
+        for lenient in (False, True):
+            compare = oracle.equals_action if lenient else oracle.equals_strict
+            assert_scans_as_at(oracle, a, b, lenient, lambda: compare(a, b))
+            if a.dim and b.dim:
+                j = rng.randint(1, min(a.dim, b.dim))
+                faces = face(a, j, Sign.PLUS), face(b, j, Sign.MINUS)
+                assert_scans_as_at(oracle, *faces, lenient, lambda: oracle.equals_faces(a, b, j, lenient))

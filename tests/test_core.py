@@ -48,6 +48,19 @@ class TestShape:
     def test_empty_shape_is_a_point(self):
         assert len(Shape(())) == 0
 
+    @pytest.mark.parametrize("bad", ["1.0", True, False, None, b"1"])
+    def test_rejects_an_extent_that_is_not_a_number(self, bad):
+        with pytest.raises(InvalidShape, match=r"is not a number"):
+            Shape((1.0, bad))
+
+    def test_accepts_ints_floats_and_float_subclasses(self):
+        class Length(float):
+            pass
+
+        s = Shape((2, 0.5, Length(1.5)))
+        assert s.extents == (2.0, 0.5, 1.5)
+        assert all(type(r) is float for r in s.extents)
+
 
 class TestSpaces:
     def test_euclidean_distance(self):
@@ -179,7 +192,7 @@ class TestEqualityOracle:
     def test_rejects_degenerate_sampling(self):
         with pytest.raises(ValueError):
             EqualityOracle(samples_per_axis=1)
-        for bad in (-1e-9, float("nan"), float("inf")):
+        for bad in (-1e-9, float("nan"), float("inf"), True, "1e-9"):
             with pytest.raises(ValueError):
                 EqualityOracle(tol_val=bad)
             with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moorecubes
+from conftest import MAP_DIMS, fuzz_cube
 from moorecubes import (
     EqualityOracle,
     Euclidean,
@@ -51,6 +52,7 @@ from moorecubes.errors import MooreError, ParseError
 from moorecubes.expr import MAX_DEPTH as EXPR_MAX_DEPTH
 from moorecubes.expr import Bin, Num, Var, cube_from_exprs, parse_expr, substitute, to_source
 from moorecubes.generators import extend_chain, gen_cube
+from reference import assert_agrees
 
 oracle = EqualityOracle()
 
@@ -956,71 +958,35 @@ class TestBuiltCubesLoad:
         assert not path.exists()
 
 
-def _rebracketed(space):
-    """The other bracketing of a product of three factors, or the space itself."""
-    if isinstance(space, Product) and isinstance(space.left, Product):
-        return Product(space.left.left, Product(space.left.right, space.right))
-    if isinstance(space, Product) and isinstance(space.right, Product):
-        return Product(Product(space.left, space.right.left), space.right.right)
-    return space
-
-
-def _mapped(rng, name, c):
-    """c under the structure map name, with indices drawn from rng."""
-    i, sign = rng.randint(1, max(c.dim, 1)), rng.choice(list(Sign))
-    if name == "face":
-        return face(c, i, sign)
-    if name == "degeneracy":
-        return degeneracy(c, rng.randint(1, c.dim + 1))
-    if name == "connection":
-        return connection(c, i, sign)
-    if name == "reverse":
-        return reverse(c, i)
-    if name == "strict":  # then a zero-extent piece on c's upper i-face
-        return compose_strict(c, degeneracy(face(c, i, Sign.PLUS), i), i)
-    if name == "lenient":  # after a zero-extent piece on c's lower i-face
-        return compose_lenient(degeneracy(face(c, i, Sign.MINUS), i), c, i)
-    if name == "chain":
-        return compose_strict(c, extend_chain(rng, c, i), i)
-    if name == "tensor":
-        return tensor(c, gen_cube(rng, rng.randint(0, 1)))
-    return reassociate(c, _rebracketed(c.space))
-
-
-# The dimensions each structure map of the round-trip fuzz is applied at.
-_MAP_DIMS = {
-    "face": range(1, 5),
-    "degeneracy": range(0, 4),
-    "connection": range(1, 4),
-    "reverse": range(1, 5),
-    "strict": range(1, 4),
-    "lenient": range(1, 4),
-    "chain": range(1, 4),
-    "tensor": range(0, 4),
-    "reassociate": range(0, 5),
-}
+# The cubes of the round-trip fuzz: a seed, a dimension and the structure maps to apply.
+_FUZZ_CUBES = (st.integers(0, 2**32), st.integers(0, 2), st.lists(st.sampled_from(sorted(MAP_DIMS)), max_size=5))
 
 
 class TestRoundTripFuzz:
-    @given(
-        st.integers(0, 2**32),
-        st.integers(0, 2),
-        st.lists(st.sampled_from(sorted(_MAP_DIMS)), max_size=5),
-    )
+    @given(*_FUZZ_CUBES)
     @settings(max_examples=60, deadline=None)
     def test_save_load_save_is_byte_identical(self, tmp_path_factory, seed, dim, names):
-        rng = random.Random(seed)
-        cube = gen_cube(rng, dim)
-        for name in names:
-            if name == "chain" and getattr(cube.provenance, "exprs", None) is None:
-                continue  # extend_chain takes DSL leaves only
-            if cube.dim in _MAP_DIMS[name]:
-                cube = _mapped(rng, name, cube)
+        cube = fuzz_cube(random.Random(seed), dim, names)
         folder = tmp_path_factory.mktemp("roundtrip")
         first, second = folder / "first.json", folder / "second.json"
         save_cube(cube, str(first))
         save_cube(load_cube(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    @given(*_FUZZ_CUBES, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_cube_and_its_loaded_copy_read_the_reference(self, tmp_path_factory, seed, dim, names, data):
+        """At points anywhere, below 0 and past the extents too, before and after a save and load."""
+        cube = fuzz_cube(random.Random(seed), dim, names)
+
+        def coordinate(r):
+            return st.one_of(st.floats(-2.0, r + 2.0), st.sampled_from([-1.0, -0.0, 0.0, r, r + 1.0]))
+
+        points = data.draw(st.lists(st.tuples(*map(coordinate, cube.shape.extents)), min_size=1, max_size=8))
+        path = tmp_path_factory.mktemp("reference") / "cube.json"
+        save_cube(cube, str(path))
+        assert_agrees(cube, points)
+        assert_agrees(load_cube(str(path)), points)
 
 
 # Command-line fuzzing vocabulary: for each flag, values it accepts and edge

@@ -334,6 +334,13 @@ class TestCubeFromExprs:
         with pytest.raises(EvalError):
             cube_from_exprs(1, Shape((1.0,)), Euclidean(1), ["t2"])
 
+    def test_refuses_a_bare_string_for_the_expressions(self):
+        # "t1" has two characters, one per coordinate of R^2, so iterating it would parse "t".
+        with pytest.raises(TypeError, match=r"exprs must be a sequence"):
+            cube_from_exprs(1, (1.0,), Euclidean(2), "t1")
+        with pytest.raises(TypeError, match=r"exprs must be a sequence"):
+            cube_from_exprs(1, (1.0,), Euclidean(1), "t")
+
 
 # Leaf templates whose texts share one token shape per template; every {}
 # is a number.  They cover unary minus on a number (-0.0 from -0), a double
