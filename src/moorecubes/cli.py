@@ -12,12 +12,13 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from typing import Sequence
 
 from .compose import compose_lenient, compose_strict
 from .core import EqualityOracle, MooreCube
-from .cubefile import dump_cube, load_cube, save_cube
+from .cubefile import dump_cube, load_cube, open_output, save_cube
 from .errors import CompositionUndefined, CubeFileError, MooreError
 from .lawlab import LAW_IDS, LawReport, run_suite
 from .ops import Sign, connection, degeneracy, face, reverse
@@ -104,8 +105,8 @@ def _cmd_sample(args) -> int:
     header = [f"t{i}" for i in range(1, cube.dim + 1)] + [
         f"x{i}" for i in range(1, cube.space.total_dim + 1)
     ]
-    handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+
+    def write_rows(handle) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for point in oracle.grid(cube.shape):
@@ -113,16 +114,32 @@ def _cmd_sample(args) -> int:
             writer.writerow(
                 [_fmt_value(t) for t in point] + [_fmt_value(x) for x in value.coords]
             )
-        if args.out:
-            handle.close()
+
+    if not args.out:
+        write_rows(sys.stdout)
+        return 0
+    handle = None
+    try:
+        with open_output(args.out, newline="") as handle:
+            write_rows(handle)
     except BaseException:
-        if args.out:  # a failed sample leaves no partial CSV behind
-            handle.close()
-            os.remove(args.out)
+        if handle is not None:  # a failed sample leaves no partial CSV behind
+            _discard(args.out)
         raise
-    if args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
+    print(f"wrote {args.out}", file=sys.stderr)
     return 0
+
+
+def _discard(path: str) -> None:
+    """Remove the regular file at path, or empty the one a symlink at path names.
+
+    A FIFO or device, or a symlink to one, is left alone.
+    """
+    mode = os.lstat(path).st_mode
+    if stat.S_ISREG(mode):
+        os.remove(path)
+    elif stat.S_ISLNK(mode) and os.path.isfile(path):
+        os.truncate(path, 0)
 
 
 def _report_json(report: LawReport) -> str:
@@ -161,7 +178,7 @@ def _cmd_check_laws(args) -> int:
     )
     print(format_table(report))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+        with open_output(args.report) as handle:
             handle.write(_report_json(report))
         print(f"wrote {args.report}", file=sys.stderr)
     return 0

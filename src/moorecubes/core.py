@@ -49,7 +49,10 @@ class Shape:
         for r in self.extents:
             if not isinstance(r, (int, float)) or isinstance(r, bool):
                 raise InvalidShape(f"extent {r!r} is not a number")
-            exts.append(_extent(float(r)))
+            try:
+                exts.append(_extent(float(r)))
+            except OverflowError:
+                raise InvalidShape(f"extent {r!r} is too large for a float") from None
         object.__setattr__(self, "extents", tuple(exts))
 
     @classmethod
@@ -575,6 +578,10 @@ class EqualityOracle:
             tol = getattr(self, name)
             if not isinstance(tol, (int, float)) or isinstance(tol, bool):
                 raise ValueError(f"{name} must be a number, got {tol!r}")
+            try:
+                float(tol)
+            except OverflowError:
+                raise ValueError(f"{name} {tol!r} is too large for a float") from None
             if not (math.isfinite(tol) and tol >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 

@@ -11,11 +11,14 @@ same way it would fail to build.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from .compose import compose_lenient, compose_strict
 from .core import (
@@ -334,9 +337,34 @@ def dump_cube(cube: MooreCube, handle: TextIO) -> None:
     _write_document(cube_to_dict(cube), handle)
 
 
+@contextlib.contextmanager
+def open_output(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open path for writing UTF-8 text, leaving what open(path, "w") leaves.
+
+    The file is written in place, not emptied first: on exit, normal or
+    raising, a regular file is cut at the position written, so it holds
+    exactly the bytes written, on the same inode (a symlink is written
+    through, hard links share the bytes, the mode stays).  FIFOs and
+    devices are never cut.  Emptying a file on open (O_TRUNC) frees its
+    blocks only for the write to allocate them again, which on some
+    filesystems costs several times the write itself.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        finally:
+            handle.flush()
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                end = handle.tell()
+                if info.st_size > end:  # the tail of an older, longer file
+                    os.ftruncate(fd, end)
+
+
 def save_cube(cube: MooreCube, path: str) -> None:
     data = cube_to_dict(cube)  # a cube that cannot be saved leaves no file behind
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         _write_document(data, handle)
 
 

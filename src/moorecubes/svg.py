@@ -28,6 +28,7 @@ from .core import (
     ReverseNode,
     TensorNode,
 )
+from .cubefile import open_output
 from .errors import DimensionMismatch, MooreError
 from .ops import Sign
 
@@ -210,5 +211,5 @@ def render_svg(cube: MooreCube, *, scale: float = 80.0) -> str:
 
 def save_svg(cube: MooreCube, path: str, *, scale: float = 80.0) -> None:
     text = render_svg(cube, scale=scale)  # before opening, so a refused drawing leaves no file
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         handle.write(text)

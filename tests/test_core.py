@@ -53,6 +53,12 @@ class TestShape:
         with pytest.raises(InvalidShape, match=r"is not a number"):
             Shape((1.0, bad))
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["huge", "minus_huge"])
+    def test_rejects_an_int_too_large_for_a_float(self, big):
+        with pytest.raises(InvalidShape) as exc:
+            Shape((1.0, big))
+        assert str(exc.value) == f"extent {big!r} is too large for a float"
+
     def test_accepts_ints_floats_and_float_subclasses(self):
         class Length(float):
             pass
@@ -197,6 +203,12 @@ class TestEqualityOracle:
                 EqualityOracle(tol_val=bad)
             with pytest.raises(ValueError):
                 EqualityOracle(tol_shape=bad)
+
+    @pytest.mark.parametrize("name", ["tol_val", "tol_shape"])
+    def test_rejects_a_tolerance_too_large_for_a_float(self, name):
+        with pytest.raises(ValueError) as exc:
+            EqualityOracle(**{name: 10**400})
+        assert str(exc.value) == f"{name} {10**400!r} is too large for a float"
 
     def test_strict_requires_matching_shape(self, c_square):
         other = make_cube(1, (2.5,), Euclidean(1), c_square.provenance.act)

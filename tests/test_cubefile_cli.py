@@ -10,8 +10,10 @@ import math
 import os
 import random
 import runpy
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from moorecubes import (
     render_svg,
     reverse,
     save_cube,
+    save_svg,
     tensor,
 )
 from moorecubes.cli import _build_parser, main
@@ -370,6 +373,33 @@ class TestCliTensor:
         assert t.at((1.5, 1.0)).coords == (2.25, 5.0)
 
 
+def _pole_file(tmp_path):
+    """A cube file whose sample fails at its third grid point (t1 = 1)."""
+    path = tmp_path / "pole.json"
+    save_cube(cube_from_exprs(1, Shape((2.0,)), Euclidean(1), ["1/(t1 - 1)"]), str(path))
+    return path
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+
+
+@contextlib.contextmanager
+def _fifo_reader(path):
+    """Make a FIFO at path and read it to its end in a thread; yields the list its bytes land in."""
+    os.mkfifo(path)
+    got = []
+
+    def read():
+        with open(path, "rb") as handle:
+            got.append(handle.read())
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    yield got
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
 class TestCliSample:
     def test_csv_matches_library_evaluation(self, tmp_path, capsys):
         cube, path = square_file(tmp_path)
@@ -402,6 +432,26 @@ class TestCliSample:
         assert main(["sample", "--in", str(path), "--grid", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: division by zero\n"
         assert not out.exists()
+
+    @needs_fifo
+    def test_a_failed_sample_leaves_a_fifo_in_place(self, tmp_path, capsys):
+        path = _pole_file(tmp_path)
+        out = tmp_path / "pipe.csv"
+        with _fifo_reader(out) as got:
+            assert main(["sample", "--in", str(path), "--grid", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: division by zero\n"
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert got == [b"t1,x1\r\n0,-1\r\n0.5,-2\r\n"]
+
+    def test_a_failed_sample_through_a_symlink_empties_the_target(self, tmp_path, capsys):
+        path = _pole_file(tmp_path)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("an older, longer file\n" * 10)
+        link.symlink_to(target)
+        assert main(["sample", "--in", str(path), "--grid", "5", "--out", str(link)]) == 2
+        assert capsys.readouterr().err == "error: division by zero\n"
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b""
 
     def test_grid_below_two_is_a_usage_error(self, tmp_path):
         _, path = square_file(tmp_path)
@@ -707,6 +757,104 @@ class TestFileAndValueDigests:
         cube = _sampled_cubes()[name]
         rows = [(p, cube.at(p).coords) for p in EqualityOracle(samples_per_axis=5).grid(cube.shape)]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.VALUES_SHA256[name]
+
+
+def _write_cube(tmp_path, out: str) -> None:
+    save_cube(_node_kind_cubes()["compose_strict"], out)
+
+
+def _write_svg(tmp_path, out: str) -> None:
+    save_svg(_node_kind_cubes()["reverse"], out)
+
+
+def _write_sample(tmp_path, out: str) -> None:
+    _, path = square_file(tmp_path, "in.json")
+    assert main(["sample", "--in", str(path), "--out", out]) == 0
+
+
+def _write_report(tmp_path, out: str) -> None:
+    assert main(["check-laws", "--instances", "1", "--laws", "3.1.i", "--report", out]) == 0
+
+
+# Every writer of a file the user names, as a function of the path it writes.
+_WRITERS = {
+    "save_cube": _write_cube,
+    "save_svg": _write_svg,
+    "sample": _write_sample,
+    "check-laws": _write_report,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+class TestOutputs:
+    """An output is written in place, and ends as open(path, "w") would leave it."""
+
+    OUTPUT_SHA256 = {
+        "save_cube": TestFileAndValueDigests.FILE_SHA256["compose_strict"],
+        "save_svg": "e2f747048e22c1a19885d70c1f970f7a2ff147b82d88b987d4d29d160cda8bdc",
+        "sample": "35891f0e7b528252d77b02d26be47253a0051f0a3551086b566022f4a1588025",
+        "check-laws": "6d90bf5df451f3a5e86b5fbae793de6195f0e8e4876cb21caa5aa58c555cdcad",
+    }
+
+    def fresh_bytes(self, writer, tmp_path) -> bytes:
+        path = tmp_path / "fresh.out"
+        _WRITERS[writer](tmp_path, str(path))
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.OUTPUT_SHA256[writer]
+        return data
+
+    def test_a_longer_file_is_cut_to_the_new_bytes(self, writer, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 100_000)
+        _WRITERS[writer](tmp_path, str(path))
+        assert path.read_bytes() == self.fresh_bytes(writer, tmp_path)
+
+    def test_a_symlink_is_written_through(self, writer, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"x" * 100_000)
+        link.symlink_to(target)
+        _WRITERS[writer](tmp_path, str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh_bytes(writer, tmp_path)
+
+    def test_a_hard_link_sees_the_new_bytes(self, writer, tmp_path):
+        path, other = tmp_path / "out", tmp_path / "other"
+        path.write_bytes(b"x" * 100_000)
+        os.link(path, other)
+        _WRITERS[writer](tmp_path, str(path))
+        assert other.read_bytes() == self.fresh_bytes(writer, tmp_path)
+
+    def test_the_mode_of_an_existing_file_is_kept(self, writer, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"x")
+        path.chmod(0o640)
+        _WRITERS[writer](tmp_path, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == self.fresh_bytes(writer, tmp_path)
+
+    @needs_fifo
+    def test_a_fifo_receives_the_bytes(self, writer, tmp_path):
+        path = tmp_path / "pipe"
+        with _fifo_reader(path) as got:
+            _WRITERS[writer](tmp_path, str(path))
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+        assert got == [self.fresh_bytes(writer, tmp_path)]
+
+    def test_an_existing_file_is_opened_without_truncation(self, writer, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 100_000)
+        flags = []
+        real_open = os.open
+
+        def recording_open(name, flag, *args, **kwargs):
+            if os.fspath(name) == str(path):
+                flags.append(flag)
+            return real_open(name, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        _WRITERS[writer](tmp_path, str(path))
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+        assert path.read_bytes() == self.fresh_bytes(writer, tmp_path)
 
 
 def _chain_text(pieces: int) -> str:
